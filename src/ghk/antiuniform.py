@@ -110,8 +110,8 @@ class _UniformityBall:
         self.k = int(k)
         self.two_k = 1 << self.k
 
-    def norm(self, f):
-        return gowers_norm_rec(f, self.k)
+    def norm_from(self, f, u):
+        return u
 
     def grad_from(self, f, dual_vals):
         return dual_vals
@@ -131,7 +131,10 @@ class _BlendBall:
         self.coef = self.delta ** (2 * self.two_k)
 
     def norm(self, f):
-        u = gowers_norm_rec(f, self.k)
+        return self.norm_from(f, gowers_norm_rec(f, self.k))
+
+    def norm_from(self, f, u):
+        """The blend norm of ``f`` given its U(k) norm ``u``."""
         pn = lp_norm(f, self.p)
         return (u ** self.two_k + self.coef * pn ** self.two_k) ** (1.0 / self.two_k)
 
@@ -175,13 +178,14 @@ def _seeds(g, k, candidates):
 
 
 def _ascend(g, k, ball, opts, candidates):
-    """Backtracking ascent of ``<g, f> / ball.norm(f)`` from the best seed.
+    """Backtracking ascent of ``<g, f>`` over the ball norm of ``f`` from the
+    best seed.
 
     The objective is strictly monotone over accepted steps; when the ball is
     gated, acceptance additionally requires the stationarity residual not to
     increase, so the recorded residual trail is non-increasing. Returns
-    ``(f, val, iterations, converged, history)`` with ``ball.norm(f) = 1``
-    and history entries ``(iterate, value, residual-or-None)``.
+    ``(f, val, iterations, converged, history)`` with ``f`` of unit ball norm
+    and history entries ``(iterate, value, residual-or-None, U(k) norm)``.
     """
     if not np.any(g.values):
         raise ValueError("the dual-norm objective needs a nonzero g")
@@ -192,7 +196,8 @@ def _ascend(g, k, ball, opts, candidates):
     best = None
     for seed_vals in stack[1:]:
         cand = GridFunction(seed_vals, g.spacing, frame_lo)
-        nrm = ball.norm(cand)
+        u = gowers_norm_rec(cand, ball.k)
+        nrm = ball.norm_from(cand, u)
         if nrm <= 0.0:
             continue
         val = inner(g_frame, cand) / nrm
@@ -200,14 +205,14 @@ def _ascend(g, k, ball, opts, candidates):
             cand = scale(cand, -1.0)
             val = -val
         if best is None or val > best[1]:
-            best = (scale(cand, 1.0 / nrm), val)
+            best = (scale(cand, 1.0 / nrm), val, u / nrm)
     if best is None:
         raise ValueError("no admissible starting point (all seeds degenerate)")
 
-    f, val = best
+    f, val, u_f = best
     dual_f = dual_rec(f, ball.k).values
     resid = ball.residual_from(g_frame, f, val, dual_f) if ball.gated else None
-    history = [(f, val, resid)]
+    history = [(f, val, resid, u_f)]
     step = opts.step_init
     iterations = 0
     converged = False
@@ -219,7 +224,8 @@ def _ascend(g, k, ball, opts, candidates):
         s = step
         while s > 1e-16 * opts.step_init:
             trial = GridFunction(f.values + s * grad, g.spacing, frame_lo)
-            nrm = ball.norm(trial)
+            u = gowers_norm_rec(trial, ball.k)
+            nrm = ball.norm_from(trial, u)
             if nrm > 0.0:
                 val_try = inner(g_frame, trial) / nrm
                 if val_try > val * (1.0 + 1e-15):
@@ -236,6 +242,7 @@ def _ascend(g, k, ball, opts, candidates):
                             continue
                         resid = resid_try
                     f = f_try
+                    u_f = u / nrm
                     prev = val
                     val = val_try
                     dual_f = dual_try
@@ -246,7 +253,7 @@ def _ascend(g, k, ball, opts, candidates):
             converged = True
             break
         iterations += 1
-        history.append((f, val, resid))
+        history.append((f, val, resid, u_f))
         step = min(s / opts.backtrack, opts.step_init)
         if val - prev <= opts.rel_tol * abs(val):
             converged = True
@@ -263,8 +270,8 @@ def dual_norm_lower(g, k, opts=None, candidates=()):
     """
     opts = opts or AscentOptions()
     ball = _UniformityBall(k)
-    f, _, iterations, converged, _ = _ascend(g, k, ball, opts, candidates)
-    witness = scale(f, 1.0 / ball.norm(f))
+    f, _, iterations, converged, history = _ascend(g, k, ball, opts, candidates)
+    witness = scale(f, 1.0 / history[-1][3])
     value = inner(g, witness)
     return DualNormEstimate(
         value=value, witness=witness, iterations=iterations, converged=converged
@@ -314,12 +321,8 @@ def decompose(g, k, delta, opts=None, dual_candidates=()):
 
     # Any iterate whose plain dual objective beats the first-stage estimate
     # would push C above 1; fold the best one back into the normalization.
-    u_val = 1.0
-    for fi, vi, _ in history:
-        un = gowers_norm_rec(fi, k)
-        if un > 0.0:
-            u_val = max(u_val, vi * ball.norm(fi) / un)
-    u_corr = u_val
+    # Iterates have unit blend norm, so that objective is value / U-norm.
+    u_corr = max([1.0] + [vi / ui for _, vi, _, ui in history if ui > 0.0])
 
     lo, hi = f.box
     g2 = GridFunction(embed(g1, lo, hi) * (1.0 / u_corr), g1.spacing, lo)
@@ -340,7 +343,7 @@ def decompose(g, k, delta, opts=None, dual_candidates=()):
 
     # residuals are positively homogeneous in g, so dividing by the common
     # normalization preserves both values and the non-increasing order
-    residual_history = [ri / u_corr for _, _, ri in history]
+    residual_history = [ri / u_corr for _, _, ri, _ in history]
     pn = lp_norm(F, ball.p)
     closed = dkF.values + ball._p_term(F.values, pn)
     stationarity_residual = lp_norm(

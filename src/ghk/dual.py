@@ -11,9 +11,10 @@ from the vertex relation e1 + e2 = e1+e2), where the field's natural support
 ends.
 
 ``dual_rec`` peels the last cube coordinate,
-``D_k f(x) = w^d sum_h f(x+h) D_(k-1)(f^h f)(x)``, with the order-2 base
-evaluated by FFT; it matches ``dual_brute`` pointwise to float roundoff on
-all-equal tuples at a fraction of the cost.
+``D_k f(x) = w^d sum_h f(x+h) D_(k-1)(f^h f)(x)``, down to an order-2 base
+evaluated by FFT, through the shift-product engine it shares with
+``norms.gowers_norm_rec``; it matches ``dual_brute`` pointwise to float
+roundoff on all-equal tuples at a fraction of the cost.
 """
 
 from __future__ import annotations
@@ -36,9 +37,9 @@ from .grid import (
     scale,
     shift,
 )
+from .norms import INEQ_SLACK, _shift_product_sum
 from .records import CheckRecord, safe_ratio
 
-INEQ_SLACK = 1e-9
 IDENTITY_TOL = 1e-9
 FOURIER_SLACK = 1e-8
 
@@ -82,118 +83,6 @@ def dual_brute(fs, out_box=None, work_budget=None):
     return GridFunction(values, fs.spacing, origin)
 
 
-def _gather_cyclic(z, out_lo, out_shape, sup_lo, sup_hi):
-    # read z at cyclic index (y mod M) for y in the out box, zero outside the
-    # known support window [sup_lo, sup_hi)
-    d = z.ndim
-    idxs = []
-    masks = []
-    for a in range(d):
-        ys = out_lo[a] + np.arange(out_shape[a])
-        masks.append((ys >= sup_lo[a]) & (ys < sup_hi[a]))
-        idxs.append(np.mod(ys, z.shape[a]))
-    out = z[np.ix_(*idxs)].copy()
-    for a in range(d):
-        shape = [1] * d
-        shape[a] = out_shape[a]
-        out *= masks[a].reshape(shape)
-    return out
-
-
-def _shift_window(values, h, out_lo, out_shape):
-    # values read at (y + h) for y in the out box, zero-extended
-    d = values.ndim
-    out = np.zeros(out_shape)
-    src = []
-    dst = []
-    for a in range(d):
-        n = values.shape[a]
-        y0 = max(out_lo[a], -h[a])
-        y1 = min(out_lo[a] + out_shape[a], n - h[a])
-        if y0 >= y1:
-            return out
-        dst.append(slice(y0 - out_lo[a], y1 - out_lo[a]))
-        src.append(slice(y0 + h[a], y1 + h[a]))
-    out[tuple(dst)] = values[tuple(src)]
-    return out
-
-
-def _axis_products(values, h):
-    # f(x) * f(x+h) on the frame of f, zero where the shifted read leaves it
-    shape = values.shape
-    prod = np.zeros(shape)
-    if any(abs(ha) >= n for ha, n in zip(h, shape)):
-        return prod
-    src = tuple(slice(max(0, ha), min(n, n + ha)) for ha, n in zip(h, shape))
-    dst = tuple(slice(max(0, -ha), min(n, n - ha)) for ha, n in zip(h, shape))
-    prod[dst] = values[dst] * values[src]
-    return prod
-
-
-def _h_range(extents, out_lo, out_shape):
-    return [
-        range(-(out_lo[a] + out_shape[a] - 1), extents[a] - out_lo[a])
-        for a in range(len(extents))
-    ]
-
-
-_BATCH_ELEMENTS = 1 << 22
-
-
-def _dual2_raw(values, out_lo, out_shape):
-    d = values.ndim
-    padded = tuple(3 * n for n in values.shape)
-    spec = np.fft.fftn(values, s=padded, axes=tuple(range(values.ndim)))
-    z = np.fft.ifftn(spec * spec * np.conj(spec)).real
-    sup_lo = tuple(-(n - 1) for n in values.shape)
-    sup_hi = tuple(2 * n - 1 for n in values.shape)
-    return _gather_cyclic(z, out_lo, out_shape, sup_lo, sup_hi)
-
-
-def _dual_rec_raw(values, k, out_lo, out_shape):
-    if k == 2:
-        return _dual2_raw(values, out_lo, out_shape)
-    d = values.ndim
-    shape = values.shape
-    out = np.zeros(out_shape)
-    ranges = _h_range(shape, out_lo, out_shape)
-    hs = list(np.ndindex(*[len(r) for r in ranges]))
-    if k == 3:
-        # batch the order-2 FFT base across shifts
-        padded = tuple(3 * n for n in shape)
-        sup_lo = tuple(-(n - 1) for n in shape)
-        sup_hi = tuple(2 * n - 1 for n in shape)
-        rows_per_chunk = max(1, _BATCH_ELEMENTS // int(np.prod(padded)))
-        for start in range(0, len(hs), rows_per_chunk):
-            chunk = hs[start : start + rows_per_chunk]
-            prods = np.stack(
-                [
-                    _axis_products(values, tuple(r[i] for r, i in zip(ranges, idx)))
-                    for idx in chunk
-                ]
-            )
-            spec = np.fft.fftn(prods, s=padded, axes=tuple(range(1, d + 1)))
-            z = np.fft.ifftn(
-                spec * spec * np.conj(spec), axes=tuple(range(1, d + 1))
-            ).real
-            for row, idx in enumerate(chunk):
-                h = tuple(r[i] for r, i in zip(ranges, idx))
-                outer = _shift_window(values, h, out_lo, out_shape)
-                if not outer.any():
-                    continue
-                q = _gather_cyclic(z[row], out_lo, out_shape, sup_lo, sup_hi)
-                out += outer * q
-        return out
-    for idx in np.ndindex(*[len(r) for r in ranges]):
-        h = tuple(r[i] for r, i in zip(ranges, idx))
-        outer = _shift_window(values, h, out_lo, out_shape)
-        if not outer.any():
-            continue
-        prod = _axis_products(values, h)
-        out += outer * _dual_rec_raw(prod, k - 1, out_lo, out_shape)
-    return out
-
-
 def dual_rec(f, k, out_box=None):
     """Recursive dual field for the all-equal tuple ``f_alpha = f``.
 
@@ -205,7 +94,7 @@ def dual_rec(f, k, out_box=None):
         raise ValueError(f"dual_rec requires k >= 2, got {k}")
     lo, hi = f.box
     rel_lo, out_shape = _resolve_out_box(lo, hi, out_box)
-    raw = _dual_rec_raw(np.asarray(f.values), k, rel_lo, out_shape)
+    raw = _shift_product_sum(np.asarray(f.values), k, rel_lo, out_shape)
     values = raw * f.spacing ** (k * f.dim)
     origin = tuple(fl + rl for fl, rl in zip(lo, rel_lo))
     return GridFunction(values, f.spacing, origin)

@@ -6,7 +6,7 @@ Three independent evaluation routes are provided for ``||f||_U(k)``:
     The flat (k+1)-fold lattice sum over all cube shifts: the oracle.
 ``gowers_norm_rec``
     The shift recursion ``||f||^(2^(k+1))_U(k+1) = w^d sum_h ||f^h f||^(2^k)_U(k)``
-    with the order-2 base evaluated from one padded FFT autocorrelation
+    down to an order-2 base evaluated from padded FFT autocorrelations
     (padding ``M >= 2N`` per axis makes cyclic wraparound vanish).
 ``gowers_norm_spectral_u2``
     The order-2 identity ``||f||_U(2) = ||f_hat||_4`` on a transform padded to
@@ -15,16 +15,22 @@ Three independent evaluation routes are provided for ``||f||_U(k)``:
 
 All three agree to float roundoff: for whole-cell shifts the x-sums are exact,
 so the discrete values coincide identically across algorithms.
+
+The recursion here and ``dual.dual_rec`` share one engine,
+``_shift_product_sum``: every order and dimension is batched the same way,
+shift products that vanish are skipped, and the batches are sized from
+``budget.memory_budget()``.
 """
 
 from __future__ import annotations
 
+import math
 import time
 
 import numpy as np
 
 from . import kernels
-from .budget import brute_gowers_work, check_work
+from .budget import brute_gowers_work, check_work, memory_budget
 from .cubes import FunctionTuple
 from .exponents import UniformityConstant, exponent_triple
 from .grid import integral, lp_norm, fourier
@@ -68,91 +74,104 @@ def gowers_norm_brute(f, k, work_budget=None):
     return value_pow ** (1.0 / (1 << k))
 
 
-def _rfft_abs4_sum(spec, m_last):
-    # full-spectrum sum of |F|^4 from a half spectrum: conjugate-symmetric
-    # bins on the last axis count twice, the self-conjugate ones once
-    a = spec.real * spec.real + spec.imag * spec.imag
-    wgt = np.full(spec.shape[-1], 2.0)
-    wgt[0] = 1.0
-    if m_last % 2 == 0:
-        wgt[-1] = 1.0
-    return float(np.sum((a * a) * wgt))
+def _shift_windows(rows, lo, shape):
+    # strided view (b, *(2N-1), *shape) of one zero-padded copy: rows read at
+    # y + h for y in the box [lo, lo + shape) and h in [-(N-1), N-1]^d, zero
+    # off the frame [0, N)
+    n = rows.shape[1:]
+    span = tuple(s + 2 * m - 2 for s, m in zip(shape, n))
+    buf = np.zeros(rows.shape[:1] + span)
+    dst, src = [slice(None)], [slice(None)]
+    for a, m in enumerate(n):
+        start = lo[a] - (m - 1)  # frame coordinate of buffer index 0
+        i0 = max(0, -start)
+        i1 = max(i0, min(span[a], m - start))
+        dst.append(slice(i0, i1))
+        src.append(slice(i0 + start, i1 + start))
+    buf[tuple(dst)] = rows[tuple(src)]
+    view = rows.shape[:1] + tuple(2 * m - 1 for m in n) + tuple(shape)
+    return np.ndarray(view, buffer=buf, strides=buf.strides + buf.strides[1:])
 
 
-def _u2_pow4_fft(values, w):
-    # w^(3d) * sum_h (autocorrelation)^2 from one padded transform; the
-    # shift sum of squared correlations is the mean of |F|^4 (Parseval)
-    padded = tuple(2 * n for n in values.shape)
-    spec = np.fft.rfftn(values, s=padded, axes=tuple(range(values.ndim)))
-    total = _rfft_abs4_sum(spec, padded[-1]) / float(np.prod(padded))
-    return w ** (3 * values.ndim) * total
+def _shift_product_sum(values, k, out_lo=None, out_shape=None):
+    """Unweighted order-k shift recursion on the frame of ``values``.
 
-
-_BATCH_ELEMENTS = 1 << 23
-
-
-def _u3_pow8_1d(values, w):
-    # all shift products built in one strided window, one batched transform
-    n = values.shape[0]
-    m = 2 * n
-    buf = np.zeros(3 * n - 2)
-    buf[n - 1 : 2 * n - 1] = values
-    windows = np.lib.stride_tricks.sliding_window_view(buf, n)  # (2n-1, n)
-    prods = windows * values
-    spec = np.fft.rfft(prods, n=m, axis=1)
-    a = spec.real * spec.real + spec.imag * spec.imag
-    wgt = np.full(spec.shape[-1], 2.0)
-    wgt[0] = 1.0
-    wgt[-1] = 1.0  # m = 2n is even
-    return w ** 4 * float(np.sum((a * a) @ wgt)) / m
-
-
-def _u3_pow8_batched(values, w):
-    # w^(4d) * sum_{h} sum_t autocorr(f . f^h)(t)^2, transforms batched over h
-    if values.ndim == 1:
-        return _u3_pow8_1d(values, w)
+    Each level peels one cube coordinate off a batch of rows: row ``g``
+    becomes the ``(2N-1)^d`` products ``g . g^h``, ``h`` in ``[-(N-1), N-1]^d``
+    (every larger shift gives a zero product). Without an output box the
+    result is the power sum ``||f||_U(k)^(2^k) / w^((k+1)d)``, with the order-2
+    base the Parseval sum of ``|F|^4`` on a transform padded to 2N per axis.
+    With the box ``[out_lo, out_lo + out_shape)`` it is the dual field
+    ``D_k f / w^(kd)`` there: each row also carries a weight that every peel
+    multiplies by the outer factor ``g(y + h)``, and the order-2 base is the
+    cubic correlation ``ifft(F F conj F)`` padded to 3N per axis, whose
+    support is ``[-(N-1), 2N-1)``. Rows whose product or weight vanishes are
+    dropped. A batch holds about ``memory_budget() / 64`` padded f64 elements
+    (the transform and its temporaries), and never less than one transform
+    row in the base or, in a peel, the products of one row at one value of
+    the first shift coordinate.
+    """
+    n = values.shape
     d = values.ndim
-    shape = values.shape
-    padded = tuple(2 * n for n in shape)
-    offsets = list(
-        np.ndindex(*[2 * n - 1 for n in shape])
-    )  # h + (N-1) per axis, odometer order
-    rows_per_chunk = max(1, _BATCH_ELEMENTS // int(np.prod(padded)))
-    total = 0.0
-    for start in range(0, len(offsets), rows_per_chunk):
-        chunk = offsets[start : start + rows_per_chunk]
-        prods = np.zeros((len(chunk),) + shape)
-        for row, idx in enumerate(chunk):
-            h = tuple(i - (n - 1) for i, n in zip(idx, shape))
-            src = tuple(
-                slice(max(0, ha), min(n, n + ha)) for ha, n in zip(h, shape)
-            )
-            dst = tuple(
-                slice(max(0, -ha), min(n, n - ha)) for ha, n in zip(h, shape)
-            )
-            prods[row][dst] = values[dst] * values[src]
-        spec = np.fft.rfftn(prods, s=padded, axes=tuple(range(1, d + 1)))
-        total += _rfft_abs4_sum(spec, padded[-1])
-    return w ** (4 * d) * total / float(np.prod(padded))
+    axes = tuple(range(1, d + 1))
+    expand = (slice(None),) + (None,) * d
+    dual = out_shape is not None
+    padded = tuple((3 if dual else 2) * m for m in n)
+    limit = memory_budget() // 64
+    base_rows = max(1, limit // math.prod(padded))
+    row_size = math.prod(n) + (math.prod(out_shape) if dual else 0)
+    # a peel batch is rows times a slab of the first shift axis; the slab is
+    # the whole axis unless the products of one row alone exceed the limit
+    h0, rest = 2 * n[0] - 1, row_size * math.prod(2 * m - 1 for m in n[1:])
+    slab = max(1, min(h0, limit // rest))
+    peel_rows = max(1, limit // (slab * rest))
 
+    def batches(rows, wts, order):
+        step = base_rows if order == 2 else peel_rows
+        for s in range(0, len(rows), step):
+            g = rows[s : s + step]
+            w = None if wts is None else wts[s : s + step]
+            if order == 2:
+                yield g, w
+                continue
+            windows = _shift_windows(g, (0,) * d, n)
+            outer = _shift_windows(g, out_lo, out_shape) if dual else None
+            for t in range(0, h0, slab):
+                prods = (windows[:, t : t + slab] * g[expand]).reshape((-1,) + n)
+                keep = prods.reshape(len(prods), -1).any(axis=1)
+                w_h = None
+                if dual:
+                    w_h = outer[:, t : t + slab] * w[expand]
+                    w_h = w_h.reshape((-1,) + out_shape)
+                    keep &= w_h.reshape(len(w_h), -1).any(axis=1)
+                if not keep.all():
+                    prods = prods[keep]
+                    w_h = None if w_h is None else w_h[keep]
+                yield from batches(prods, w_h, order - 1)
 
-def _u_pow_rec(values, w, k):
-    if k == 2:
-        return _u2_pow4_fft(values, w)
-    if k == 3:
-        return _u3_pow8_batched(values, w)
-    # peel one cube coordinate: w^d sum_h ||f^h . f||^(2^(k-1))
-    d = values.ndim
-    shape = values.shape
-    total = 0.0
-    for idx in np.ndindex(*[2 * n - 1 for n in shape]):
-        h = tuple(i - (n - 1) for i, n in zip(idx, shape))
-        src = tuple(slice(max(0, ha), min(n, n + ha)) for ha, n in zip(h, shape))
-        dst = tuple(slice(max(0, -ha), min(n, n - ha)) for ha, n in zip(h, shape))
-        prod = np.zeros(shape)
-        prod[dst] = values[dst] * values[src]
-        total += _u_pow_rec(prod, w, k - 1)
-    return w ** d * total
+    if not dual:
+        wgt = np.full(padded[-1] // 2 + 1, 2.0)
+        wgt[0] = wgt[-1] = 1.0  # self-conjugate bins of the even last axis
+        total = 0.0
+        for g, _ in batches(values[None], None, k):
+            spec = np.fft.rfftn(g, s=padded, axes=axes)
+            a = spec.real * spec.real + spec.imag * spec.imag
+            total += float(np.sum((a * a) @ wgt))
+        return total / math.prod(padded)
+
+    gather = (slice(None),) + np.ix_(
+        *[np.arange(lo, lo + s) % p for lo, s, p in zip(out_lo, out_shape, padded)]
+    )
+    out = np.zeros(out_shape)
+    for g, w in batches(values[None], np.ones((1,) + out_shape), k):
+        spec = np.fft.rfftn(g, s=padded, axes=axes)
+        z = np.fft.irfftn(spec * spec * np.conj(spec), s=padded, axes=axes)
+        out += np.einsum("i...,i...->...", w, z[gather])
+    for a, (lo, m) in enumerate(zip(out_lo, n)):
+        # zero the cyclic aliases off the support [-(N-1), 2N-1)
+        out[(slice(None),) * a + (slice(0, max(0, 1 - m - lo)),)] = 0.0
+        out[(slice(None),) * a + (slice(max(0, 2 * m - 1 - lo), None),)] = 0.0
+    return out
 
 
 def gowers_norm_rec(f, k):
@@ -164,7 +183,8 @@ def gowers_norm_rec(f, k):
         return abs(integral(f))
     # the recursion accumulates squares, so the power sum is nonnegative by
     # construction and needs no clamp
-    value_pow = _u_pow_rec(np.asarray(f.values), f.spacing, k)
+    raw = _shift_product_sum(np.asarray(f.values), k)
+    value_pow = raw * f.spacing ** ((k + 1) * f.dim)
     return value_pow ** (1.0 / (1 << k))
 
 

@@ -52,6 +52,7 @@ from .families import random_function, random_tuple, unit_p_norm
 from .grid import inner, lp_norm, scale, shift
 from .gridio import write_ghk
 from .norms import (
+    INEQ_SLACK,
     csg_gap,
     gowers_norm_brute,
     gowers_norm_rec,
@@ -121,7 +122,7 @@ def _chk_monotone(ctx, k, d, seed):
         lhs=lhs,
         rhs=rhs,
         ratio=safe_ratio(lhs, rhs),
-        passed=lhs <= rhs * (1.0 + 1e-9),
+        passed=lhs <= rhs * (1.0 + INEQ_SLACK),
         params={"k": k, "d": d, "N": n, "w": ctx.w, "family": "random-nonneg"},
     )
     return rec, {"f": f}
@@ -173,7 +174,7 @@ def _chk_floor(ctx, k, d, seed):
         lhs=est.value,
         rhs=floor,
         ratio=safe_ratio(est.value, floor),
-        passed=est.value >= floor * (1.0 - 1e-9),
+        passed=est.value >= floor * (1.0 - INEQ_SLACK),
         params={"k": k, "d": d, "N": n, "w": ctx.w, "family": "random-nonneg"},
         extra={"iterations": est.iterations, "converged": est.converged},
     )
@@ -200,7 +201,7 @@ def _chk_lemma2(ctx, k, d, seed):
         lhs=lhs,
         rhs=rhs,
         ratio=safe_ratio(lhs, rhs),
-        passed=lhs <= rhs * (1.0 + 1e-9) and rhs <= rhs2 * (1.0 + 1e-9),
+        passed=lhs <= rhs * (1.0 + INEQ_SLACK) and rhs <= rhs2 * (1.0 + INEQ_SLACK),
         params={"k": k, "d": d, "N": n, "w": ctx.w, "family": "random-nonneg"},
         extra={"rhs_lp": rhs2},
     )
@@ -218,7 +219,7 @@ def _chk_witness(ctx, k, d, seed):
     target = u ** ((1 << k) - 1)
     est = dual_norm_lower(g, k, ctx.opts, candidates=(f,))
     identity_ok = abs(pairing - target) <= 1e-9 * max(target, 1e-300)
-    attain_ok = est.value >= target * (1.0 - 1e-9)
+    attain_ok = est.value >= target * (1.0 - INEQ_SLACK)
     rec = CheckRecord(
         name="eq3.2-witness",
         lhs=pairing,
@@ -233,7 +234,7 @@ def _chk_witness(ctx, k, d, seed):
 
 def _monotone_tail(history, window=10):
     tail = history[-window:]
-    return all(tail[i + 1] <= tail[i] * (1.0 + 1e-9) for i in range(len(tail) - 1))
+    return all(tail[i + 1] <= tail[i] * (1.0 + INEQ_SLACK) for i in range(len(tail) - 1))
 
 
 def _chk_decompose(ctx, k, d, seed):

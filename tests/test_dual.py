@@ -35,6 +35,15 @@ def equal_tuple(f, k):
     return FunctionTuple.constant(f, k, punctured=True)
 
 
+def assert_rec_matches_brute(f, k, out_box=None):
+    b = dual_brute(equal_tuple(f, k), out_box=out_box)
+    r = dual_rec(f, k, out_box=out_box)
+    assert b.origin == r.origin and b.extents == r.extents
+    scale_ref = max(1e-300, np.abs(b.values).max())
+    np.testing.assert_allclose(r.values, b.values, rtol=0, atol=1e-9 * scale_ref)
+    return r
+
+
 class TestDualBrute:
     def test_indicator_value_at_zero(self):
         # area of {t1, t2 >= 0, t1 + t2 < 1} discretizes to (N+1)/(2N)
@@ -113,6 +122,46 @@ class TestDualRec:
         r = dual_rec(f, 4)
         scale_ref = np.abs(b.values).max()
         np.testing.assert_allclose(r.values, b.values, rtol=0, atol=1e-9 * scale_ref)
+
+    @pytest.mark.parametrize("k, shape", [(4, (2, 2)), (4, (2, 3)), (5, (4,))])
+    def test_high_order_matches_brute(self, k, shape):
+        rng = np.random.default_rng(12)
+        assert_rec_matches_brute(from_values(rng.uniform(-1.0, 1.0, shape), 0.25), k)
+
+    # the field of a frame [0, N) vanishes off [-(N-1), 2N-1) per axis
+    @pytest.mark.parametrize(
+        "k, d, out_box",
+        [
+            (3, 1, ((-9,), (4,))),
+            (3, 1, ((7,), (16,))),
+            (4, 1, ((-7,), (1,))),
+            (2, 2, ((-4, 1), (2, 7))),
+        ],
+    )
+    def test_box_partly_outside_support(self, k, d, out_box):
+        n = 6 if d == 1 else 3
+        r = assert_rec_matches_brute(rand_grid(13, n=n, d=d), k, out_box)
+        assert r.values.any() and not r.values.all()
+
+    @pytest.mark.parametrize("k, out_box", [(3, ((11,), (15,))), (4, ((-12,), (-5,)))])
+    def test_box_outside_support_is_zero(self, k, out_box):
+        r = assert_rec_matches_brute(rand_grid(14, n=6), k, out_box)
+        assert not r.values.any()
+
+    @pytest.mark.parametrize(
+        "k, d, n, out_box", [(3, 1, 8, "full"), (4, 1, 6, None), (3, 2, 3, None)]
+    )
+    def test_sparse_indicator_matches_brute(self, k, d, n, out_box):
+        # most shift products and outer factors of a small box vanish
+        f = random_function("indicator-box", d, n, 0.25, 1)
+        assert 0 < np.count_nonzero(f.values) <= f.values.size // 2
+        assert_rec_matches_brute(f, k, out_box)
+
+    @pytest.mark.parametrize("k, d, n", [(3, 1, 8), (4, 1, 4), (3, 2, 2)])
+    def test_split_batches_match_brute(self, small_batches, k, d, n):
+        f = rand_grid(15, n=n, d=d, signed=True)
+        assert_rec_matches_brute(f, k, out_box="full")
+        assert len(small_batches) > 1
 
     def test_zero(self):
         assert not dual_rec(from_values(np.zeros(5), 1.0), 2).values.any()

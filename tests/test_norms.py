@@ -19,6 +19,7 @@ from ghk import (
     shift,
 )
 from ghk.exponents import exponent_triple
+from ghk.families import random_function
 from ghk.norms import _clamp_power
 
 from oracles import gowers_sum_oracle
@@ -103,6 +104,28 @@ class TestRecursive:
         f = rand_grid(8, n=5)
         b = gowers_norm_brute(f, 4)
         assert gowers_norm_rec(f, 4) == pytest.approx(b, rel=1e-10)
+
+    @pytest.mark.parametrize("k, shape", [(4, (2, 2)), (4, (2, 3)), (5, (4,))])
+    def test_high_order_matches_brute(self, k, shape):
+        rng = np.random.default_rng(11)
+        f = from_values(rng.uniform(-1.0, 1.0, shape), 0.25)
+        b = gowers_norm_brute(f, k)
+        assert gowers_norm_rec(f, k) == pytest.approx(b, rel=1e-9)
+
+    @pytest.mark.parametrize("k, d, n", [(3, 1, 8), (4, 1, 8), (3, 2, 3)])
+    def test_sparse_indicator_matches_brute(self, k, d, n):
+        # most shift products of a small box vanish and are dropped
+        f = random_function("indicator-box", d, n, 0.25, 1)
+        assert 0 < np.count_nonzero(f.values) <= f.values.size // 2
+        b = gowers_norm_brute(f, k)
+        assert gowers_norm_rec(f, k) == pytest.approx(b, rel=1e-9)
+
+    @pytest.mark.parametrize("k, d, n", [(3, 1, 8), (4, 1, 4), (3, 2, 3)])
+    def test_split_batches_match_brute(self, small_batches, k, d, n):
+        f = rand_grid(12, n=n, d=d, signed=True)
+        r = gowers_norm_rec(f, k)
+        assert len(small_batches) > 1
+        assert r == pytest.approx(gowers_norm_brute(f, k), rel=1e-9)
 
     def test_k1_base(self):
         f = rand_grid(9, signed=True)
