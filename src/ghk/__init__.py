@@ -51,7 +51,6 @@ from .grid import (
     shift,
 )
 from .gridio import read_ghk, read_grid, read_json, write_ghk, write_grid, write_json
-from .kernels import active_backend, set_backend
 from .norms import (
     csg_gap,
     gowers_inner,
@@ -77,7 +76,6 @@ __all__ = [
     "SuiteReport",
     "UniformityConstant",
     "VertexSet",
-    "active_backend",
     "add",
     "continuity_modulus",
     "corollary5",
@@ -110,7 +108,6 @@ __all__ = [
     "read_grid",
     "read_json",
     "scale",
-    "set_backend",
     "set_memory_budget",
     "shift",
     "triple_dual_lower",

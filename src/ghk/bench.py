@@ -1,9 +1,8 @@
 """Timing harness for the correlation kernels.
 
-Contrasts the brute-force shift sums against the recursive/spectral routes,
-and (via ``impl``) the numba backend against the pure-numpy fallback. Every
-timed kernel is warmed once before measurement so JIT compilation never lands
-in a sample; values across routes that compute the same quantity are
+Contrasts the brute-force shift sums against the recursive/spectral routes.
+Every timed kernel is warmed once before measurement so first-call costs never
+land in a sample; values across routes that compute the same quantity are
 cross-checked during the run.
 
 Work counts follow the documented visit model: brute order-k norms cost
@@ -20,7 +19,6 @@ import time
 
 import numpy as np
 
-from . import kernels
 from .budget import brute_dual_work, brute_gowers_work, fft_work, rec_gowers_work, spectral_work
 from .cubes import FunctionTuple
 from .dual import dual_brute, dual_rec
@@ -84,79 +82,64 @@ def _as_scalar(result):
     return float(result)
 
 
-def bench(kernel_names, sizes, reps=5, d=1, seed=DEFAULT_SEED, impl=None):
+def bench(kernel_names, sizes, reps=5, d=1, seed=DEFAULT_SEED):
     """Time the named kernels at each size; returns one row dict per (kernel, N).
 
-    ``impl`` pins the backend (``"numba"`` or ``"numpy"``); ``None`` keeps the
-    active one. Rows carry the median wall time of ``reps`` runs and the
-    modeled work count. Unknown kernels raise; an empty size list yields no
-    rows (the CSV then holds only the header).
+    Rows carry the median wall time of ``reps`` runs and the modeled work
+    count; the ``impl`` column names the brute kernels' implementation,
+    ``"numpy"``. Unknown kernels raise; an empty size list yields no rows (the
+    CSV then holds only the header).
     """
     table = _kernel_table()
     for name in kernel_names:
         if name not in table:
             raise ValueError(f"unknown bench kernel {name!r}")
     rows = []
-    previous = kernels.active_backend()
-    if impl is not None:
-        kernels.set_backend(impl)
-    try:
-        for n in sizes:
-            n = int(n)
-            f = random_function("random-nonneg", d, n, 1.0 / n, seed)
-            group_values = {}
-            for name in kernel_names:
-                spec = table[name]
-                spec["run"](f)  # warm-up: JIT compile + plan caches
-                samples = []
-                value = None
-                for _ in range(max(1, int(reps))):
-                    t0 = time.perf_counter()
-                    out = spec["run"](f)
-                    samples.append(1e3 * (time.perf_counter() - t0))
-                    value = _as_scalar(out)
-                group = spec["value_group"]
-                tol = _GROUP_TOL[group]
-                if group in group_values:
-                    ref = group_values[group]
-                    if abs(value - ref) > tol * max(1.0, abs(ref)):
-                        raise ArithmeticError(
-                            f"bench cross-check failed for {name} at N={n}: "
-                            f"{value} vs {ref}"
-                        )
-                else:
-                    group_values[group] = value
-                if "reference" in spec:
-                    ref_out = spec["reference"](f)
-                    got = spec["run"](f)
-                    ref_vals = ref_out.values if isinstance(ref_out, GridFunction) else ref_out
-                    got_vals = got.values if isinstance(got, GridFunction) else got
-                    scale_ref = max(1.0, float(np.max(np.abs(ref_vals))))
-                    if float(np.max(np.abs(got_vals - ref_vals))) > tol * scale_ref:
-                        raise ArithmeticError(
-                            f"bench reference check failed for {name} at N={n}"
-                        )
-                rows.append(
-                    {
-                        "kernel": name,
-                        "impl": kernels.active_backend(),
-                        "N": n,
-                        "d": d,
-                        "median_ms": statistics.median(samples),
-                        "work_count": spec["work"](n, d),
-                    }
-                )
-    finally:
-        kernels.set_backend(previous)
-    return rows
-
-
-def bench_compare(kernel_names, sizes, reps=5, d=1, seed=DEFAULT_SEED):
-    """Run each kernel under both backends (numba first, then the fallback)."""
-    rows = []
-    impls = ["numba", "numpy"] if kernels.NUMBA_AVAILABLE else ["numpy"]
-    for impl in impls:
-        rows.extend(bench(kernel_names, sizes, reps, d, seed, impl=impl))
+    for n in sizes:
+        n = int(n)
+        f = random_function("random-nonneg", d, n, 1.0 / n, seed)
+        group_values = {}
+        for name in kernel_names:
+            spec = table[name]
+            spec["run"](f)  # warm-up: FFT plan and allocator caches
+            samples = []
+            value = None
+            for _ in range(max(1, int(reps))):
+                t0 = time.perf_counter()
+                out = spec["run"](f)
+                samples.append(1e3 * (time.perf_counter() - t0))
+                value = _as_scalar(out)
+            group = spec["value_group"]
+            tol = _GROUP_TOL[group]
+            if group in group_values:
+                ref = group_values[group]
+                if abs(value - ref) > tol * max(1.0, abs(ref)):
+                    raise ArithmeticError(
+                        f"bench cross-check failed for {name} at N={n}: "
+                        f"{value} vs {ref}"
+                    )
+            else:
+                group_values[group] = value
+            if "reference" in spec:
+                ref_out = spec["reference"](f)
+                got = spec["run"](f)
+                ref_vals = ref_out.values if isinstance(ref_out, GridFunction) else ref_out
+                got_vals = got.values if isinstance(got, GridFunction) else got
+                scale_ref = max(1.0, float(np.max(np.abs(ref_vals))))
+                if float(np.max(np.abs(got_vals - ref_vals))) > tol * scale_ref:
+                    raise ArithmeticError(
+                        f"bench reference check failed for {name} at N={n}"
+                    )
+            rows.append(
+                {
+                    "kernel": name,
+                    "impl": "numpy",
+                    "N": n,
+                    "d": d,
+                    "median_ms": statistics.median(samples),
+                    "work_count": spec["work"](n, d),
+                }
+            )
     return rows
 
 

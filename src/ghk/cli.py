@@ -16,7 +16,7 @@ import sys
 
 from . import __version__
 from .antiuniform import AscentOptions, decompose, dual_norm_lower
-from .bench import KERNELS, bench, bench_compare, rows_to_csv
+from .bench import KERNELS, bench, rows_to_csv
 from .budget import brute_gowers_work, rec_gowers_work, spectral_work
 from .cubes import FunctionTuple
 from .dual import (
@@ -233,11 +233,7 @@ def _cmd_verify(args):
 def _cmd_bench(args):
     names = [s for s in args.kernels.split(",") if s] if args.kernels else list(KERNELS)
     sizes = [int(s) for s in args.sizes.split(",") if s] if args.sizes else []
-    if args.compare:
-        rows = bench_compare(names, sizes, reps=args.reps, d=args.d, seed=args.seed)
-    else:
-        rows = bench(names, sizes, reps=args.reps, d=args.d, seed=args.seed,
-                     impl=args.impl)
+    rows = bench(names, sizes, reps=args.reps, d=args.d, seed=args.seed)
     payload = rows_to_csv(rows)
     if args.out:
         with open(args.out, "w") as fh:
@@ -334,8 +330,6 @@ def build_parser():
     p.add_argument("--sizes", default="", help="comma list of N values")
     p.add_argument("--reps", type=int, default=5)
     p.add_argument("--d", type=int, default=1)
-    p.add_argument("--impl", choices=("numba", "numpy"), default=None)
-    p.add_argument("--compare", action="store_true", help="run both backends")
     p.add_argument("--seed", type=int, default=12345)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_bench)

@@ -1,18 +1,16 @@
-"""Hot correlation kernels: numba JIT with a pure-numpy fallback.
+"""Hot correlation kernels: the brute-force flat sums, in numpy.
 
-The brute-force sums here dominate the toolkit's runtime; they are compiled
-with ``numba.njit`` when available. Setting the environment variable
-``GHK_PURE_NUMPY=1`` (or calling :func:`set_backend`) selects the vectorized
-numpy fallback instead, which computes the identical quantities with the same
-per-shift blocking (the backends agree to float roundoff; each is
-bit-reproducible run to run). The ``bench`` harness compares both paths.
+These sums are the oracles every fast route is checked against, and they
+dominate the toolkit's runtime. Each kernel loops over the shift vectors in
+Python and vectorizes over ``x`` with numpy; results are bit-reproducible run
+to run.
 
 All kernels work on a dense stack of vertex functions embedded in one common
 box and return *raw* lattice sums; callers apply the ``w``-power measure
 weights. Offsets are bitmask driven: row ``alpha`` is read at
 ``x + sum_i bit_i(alpha) * h_i``, and reads outside the box contribute zero
-(enforced by intersecting per-axis validity windows, so the inner loops are
-bounds-check free).
+(enforced by intersecting per-axis validity windows, so every slice stays
+inside the box).
 
 Reduction order is fixed: one partial sum per shift vector, accumulated in
 odometer order.
@@ -21,349 +19,8 @@ odometer order.
 from __future__ import annotations
 
 import itertools
-import os
 
 import numpy as np
-
-try:
-    from numba import njit
-
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    NUMBA_AVAILABLE = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if len(args) == 1 and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-def _env_wants_numpy():
-    flag = os.environ.get("GHK_PURE_NUMPY", "").strip().lower()
-    return flag in {"1", "true", "yes", "on"}
-
-
-_BACKEND = "numpy" if (_env_wants_numpy() or not NUMBA_AVAILABLE) else "numba"
-
-
-def active_backend():
-    """The backend currently used by the brute-force kernels."""
-    return _BACKEND
-
-
-def set_backend(name):
-    """Select ``"numba"`` or ``"numpy"`` at runtime (numba must be importable)."""
-    global _BACKEND
-    if name not in {"numba", "numpy"}:
-        raise ValueError(f"unknown backend {name!r}")
-    if name == "numba" and not NUMBA_AVAILABLE:
-        raise RuntimeError("numba backend requested but numba is not installed")
-    _BACKEND = name
-
-
-def _lsb_index_table(m):
-    # lsb_index[mask] = index of the lowest set bit (mask >= 1)
-    table = np.zeros(m, dtype=np.int64)
-    for mask in range(1, m):
-        table[mask] = (mask & -mask).bit_length() - 1
-    return table
-
-
-# ---------------------------------------------------------------------------
-# numba kernels (flat layout, generic in k and d)
-# ---------------------------------------------------------------------------
-
-
-@njit(cache=True, nogil=True)
-def _gowers_sum_jit(stack, shape, strides, k, d, lsb):
-    m = stack.shape[0]  # 2**k rows, row index == vertex bitmask
-    kd = k * d
-    h = np.empty(kd, dtype=np.int64)
-    hlo = np.empty(kd, dtype=np.int64)
-    hhi = np.empty(kd, dtype=np.int64)
-    for i in range(k):
-        for a in range(d):
-            hlo[i * d + a] = -(shape[a] - 1)
-            hhi[i * d + a] = shape[a] - 1
-            h[i * d + a] = hlo[i * d + a]
-    off = np.zeros((m, d), dtype=np.int64)
-    offflat = np.zeros(m, dtype=np.int64)
-    wlo = np.empty(d, dtype=np.int64)
-    whi = np.empty(d, dtype=np.int64)
-    xcur = np.empty(d, dtype=np.int64)
-
-    acc = 0.0
-    accabs = 0.0
-    done = False
-    while not done:
-        # offsets per vertex via lowest-set-bit recursion
-        for mask in range(1, m):
-            i = lsb[mask]
-            prev = mask & (mask - 1)
-            flat = 0
-            for a in range(d):
-                off[mask, a] = off[prev, a] + h[i * d + a]
-                flat += off[mask, a] * strides[a]
-            offflat[mask] = flat
-        # per-axis validity window intersected over all vertices
-        empty = False
-        for a in range(d):
-            lo = 0
-            hi = shape[a]
-            for mask in range(1, m):
-                o = off[mask, a]
-                if -o > lo:
-                    lo = -o
-                if shape[a] - o < hi:
-                    hi = shape[a] - o
-            if lo >= hi:
-                empty = True
-                break
-            wlo[a] = lo
-            whi[a] = hi
-        if not empty:
-            xflat = 0
-            for a in range(d):
-                xcur[a] = wlo[a]
-                xflat += wlo[a] * strides[a]
-            s = 0.0
-            sabs = 0.0
-            inner = True
-            while inner:
-                p = stack[0, xflat]
-                if p != 0.0:
-                    for r in range(1, m):
-                        p *= stack[r, xflat + offflat[r]]
-                        if p == 0.0:
-                            break
-                s += p
-                sabs += abs(p)
-                # advance x odometer
-                axis = d - 1
-                while True:
-                    xcur[axis] += 1
-                    xflat += strides[axis]
-                    if xcur[axis] < whi[axis]:
-                        break
-                    xflat -= (xcur[axis] - wlo[axis]) * strides[axis]
-                    xcur[axis] = wlo[axis]
-                    axis -= 1
-                    if axis < 0:
-                        inner = False
-                        break
-            acc += s
-            accabs += sabs
-        # advance h odometer
-        pos = kd - 1
-        while True:
-            h[pos] += 1
-            if h[pos] <= hhi[pos]:
-                break
-            h[pos] = hlo[pos]
-            pos -= 1
-            if pos < 0:
-                done = True
-                break
-    return acc, accabs
-
-
-@njit(cache=True, nogil=True)
-def _dual_field_jit(stack, shape, strides, k, d, lsb, out_lo, out_shape, out_strides, out):
-    m = stack.shape[0] + 1  # rows are punctured masks 1..2^k-1 at index mask-1
-    kd = k * d
-    h = np.empty(kd, dtype=np.int64)
-    hlo = np.empty(kd, dtype=np.int64)
-    hhi = np.empty(kd, dtype=np.int64)
-    for i in range(k):
-        for a in range(d):
-            hlo[i * d + a] = -(out_lo[a] + out_shape[a] - 1)
-            hhi[i * d + a] = shape[a] - 1 - out_lo[a]
-            h[i * d + a] = hlo[i * d + a]
-    off = np.zeros((m, d), dtype=np.int64)
-    offflat = np.zeros(m, dtype=np.int64)
-    wlo = np.empty(d, dtype=np.int64)
-    whi = np.empty(d, dtype=np.int64)
-    xcur = np.empty(d, dtype=np.int64)
-
-    done = False
-    while not done:
-        for mask in range(1, m):
-            i = lsb[mask]
-            prev = mask & (mask - 1)
-            flat = 0
-            for a in range(d):
-                off[mask, a] = off[prev, a] + h[i * d + a]
-                flat += off[mask, a] * strides[a]
-            offflat[mask] = flat
-        empty = False
-        for a in range(d):
-            lo = out_lo[a]
-            hi = out_lo[a] + out_shape[a]
-            for mask in range(1, m):
-                o = off[mask, a]
-                if -o > lo:
-                    lo = -o
-                if shape[a] - o < hi:
-                    hi = shape[a] - o
-            if lo >= hi:
-                empty = True
-                break
-            wlo[a] = lo
-            whi[a] = hi
-        if not empty:
-            xflat = 0
-            oflat = 0
-            for a in range(d):
-                xcur[a] = wlo[a]
-                xflat += wlo[a] * strides[a]
-                oflat += (wlo[a] - out_lo[a]) * out_strides[a]
-            inner = True
-            while inner:
-                p = 1.0
-                for r in range(1, m):
-                    p *= stack[r - 1, xflat + offflat[r]]
-                    if p == 0.0:
-                        break
-                out[oflat] += p
-                axis = d - 1
-                while True:
-                    xcur[axis] += 1
-                    xflat += strides[axis]
-                    oflat += out_strides[axis]
-                    if xcur[axis] < whi[axis]:
-                        break
-                    xflat -= (xcur[axis] - wlo[axis]) * strides[axis]
-                    oflat -= (xcur[axis] - wlo[axis]) * out_strides[axis]
-                    xcur[axis] = wlo[axis]
-                    axis -= 1
-                    if axis < 0:
-                        inner = False
-                        break
-        pos = kd - 1
-        while True:
-            h[pos] += 1
-            if h[pos] <= hhi[pos]:
-                break
-            h[pos] = hlo[pos]
-            pos -= 1
-            if pos < 0:
-                done = True
-                break
-
-
-@njit(cache=True, nogil=True)
-def _dual_pair_field_jit(
-    stack1, stack2, shape, strides, k, d, lsb, out_lo, out_shape, out_strides, out
-):
-    m = stack1.shape[0] + 1
-    kd = k * d
-    hu = np.empty(2 * kd, dtype=np.int64)  # first kd entries: h, last kd: u
-    lo_v = np.empty(2 * kd, dtype=np.int64)
-    hi_v = np.empty(2 * kd, dtype=np.int64)
-    for i in range(k):
-        for a in range(d):
-            hl = -(out_lo[a] + out_shape[a] - 1)
-            hh = shape[a] - 1 - out_lo[a]
-            lo_v[i * d + a] = hl
-            hi_v[i * d + a] = hh
-            lo_v[kd + i * d + a] = hl - hh
-            hi_v[kd + i * d + a] = hh - hl
-    for j in range(2 * kd):
-        hu[j] = lo_v[j]
-    off1 = np.zeros((m, d), dtype=np.int64)
-    off2 = np.zeros((m, d), dtype=np.int64)
-    off1flat = np.zeros(m, dtype=np.int64)
-    off2flat = np.zeros(m, dtype=np.int64)
-    wlo = np.empty(d, dtype=np.int64)
-    whi = np.empty(d, dtype=np.int64)
-    xcur = np.empty(d, dtype=np.int64)
-
-    done = False
-    while not done:
-        for mask in range(1, m):
-            i = lsb[mask]
-            prev = mask & (mask - 1)
-            f1 = 0
-            f2 = 0
-            for a in range(d):
-                off1[mask, a] = off1[prev, a] + hu[i * d + a]
-                off2[mask, a] = off2[prev, a] + hu[i * d + a] + hu[kd + i * d + a]
-                f1 += off1[mask, a] * strides[a]
-                f2 += off2[mask, a] * strides[a]
-            off1flat[mask] = f1
-            off2flat[mask] = f2
-        empty = False
-        for a in range(d):
-            lo = out_lo[a]
-            hi = out_lo[a] + out_shape[a]
-            for mask in range(1, m):
-                o = off1[mask, a]
-                if -o > lo:
-                    lo = -o
-                if shape[a] - o < hi:
-                    hi = shape[a] - o
-                o = off2[mask, a]
-                if -o > lo:
-                    lo = -o
-                if shape[a] - o < hi:
-                    hi = shape[a] - o
-            if lo >= hi:
-                empty = True
-                break
-            wlo[a] = lo
-            whi[a] = hi
-        if not empty:
-            xflat = 0
-            oflat = 0
-            for a in range(d):
-                xcur[a] = wlo[a]
-                xflat += wlo[a] * strides[a]
-                oflat += (wlo[a] - out_lo[a]) * out_strides[a]
-            inner = True
-            while inner:
-                p = 1.0
-                for r in range(1, m):
-                    p *= stack1[r - 1, xflat + off1flat[r]]
-                    if p == 0.0:
-                        break
-                if p != 0.0:
-                    for r in range(1, m):
-                        p *= stack2[r - 1, xflat + off2flat[r]]
-                        if p == 0.0:
-                            break
-                out[oflat] += p
-                axis = d - 1
-                while True:
-                    xcur[axis] += 1
-                    xflat += strides[axis]
-                    oflat += out_strides[axis]
-                    if xcur[axis] < whi[axis]:
-                        break
-                    xflat -= (xcur[axis] - wlo[axis]) * strides[axis]
-                    oflat -= (xcur[axis] - wlo[axis]) * out_strides[axis]
-                    xcur[axis] = wlo[axis]
-                    axis -= 1
-                    if axis < 0:
-                        inner = False
-                        break
-        pos = 2 * kd - 1
-        while True:
-            hu[pos] += 1
-            if hu[pos] <= hi_v[pos]:
-                break
-            hu[pos] = lo_v[pos]
-            pos -= 1
-            if pos < 0:
-                done = True
-                break
-
-
-# ---------------------------------------------------------------------------
-# pure-numpy fallback (identical semantics, vectorized over x)
-# ---------------------------------------------------------------------------
 
 
 def _mask_offsets(masks, hvec, k, d):
@@ -380,9 +37,10 @@ def _mask_offsets(masks, hvec, k, d):
 
 
 def _window(offs, shape, base_lo, base_hi):
+    # the x-box inside [base_lo, base_hi) where every offset read stays in the frame
     lo = list(base_lo)
     hi = list(base_hi)
-    for o in offs.values():
+    for o in offs:
         for a, oa in enumerate(o):
             lo[a] = max(lo[a], -oa)
             hi[a] = min(hi[a], shape[a] - oa)
@@ -396,15 +54,22 @@ def _sliced(row, off, wlo, whi):
     return row[sl]
 
 
-def _gowers_sum_np(stack, shape, k, d):
-    m = stack.shape[0]
+def gowers_sum(stack, k):
+    """Raw correlation sum over the full cube for a ``(2^k, *box)`` stack.
+
+    Returns ``(acc, acc_abs)`` where ``acc_abs`` accumulates the absolute
+    products (the natural scale for the negative-clamp rule).
+    """
+    if stack.shape[0] != (1 << k):
+        raise ValueError(f"stack has {stack.shape[0]} rows, expected {1 << k}")
+    m, shape, d = stack.shape[0], stack.shape[1:], stack.ndim - 1
     zero = (0,) * d
     acc = 0.0
     accabs = 0.0
     ranges = [range(-(shape[a] - 1), shape[a]) for _ in range(k) for a in range(d)]
     for hvec in itertools.product(*ranges):
         offs = _mask_offsets(range(m), hvec, k, d)
-        win = _window(offs, shape, zero, shape)
+        win = _window(offs.values(), shape, zero, shape)
         if win is None:
             continue
         wlo, whi = win
@@ -416,7 +81,17 @@ def _gowers_sum_np(stack, shape, k, d):
     return acc, accabs
 
 
-def _dual_field_np(stack, shape, k, d, out_lo, out_shape):
+def dual_field_sum(stack, k, out_lo, out_shape):
+    """Raw cubic convolution product field for a punctured ``(2^k - 1, *box)`` stack.
+
+    ``out_lo``/``out_shape`` select the evaluation box in coordinates relative
+    to the common frame; cells outside the natural support stay zero.
+    """
+    if stack.shape[0] != (1 << k) - 1:
+        raise ValueError(f"stack has {stack.shape[0]} rows, expected {(1 << k) - 1}")
+    out_lo = tuple(int(v) for v in out_lo)
+    out_shape = tuple(int(v) for v in out_shape)
+    shape, d = stack.shape[1:], stack.ndim - 1
     out = np.zeros(out_shape)
     out_hi = tuple(l + n for l, n in zip(out_lo, out_shape))
     ranges = [
@@ -427,7 +102,7 @@ def _dual_field_np(stack, shape, k, d, out_lo, out_shape):
     masks = range(1, 1 << k)
     for hvec in itertools.product(*ranges):
         offs = _mask_offsets(masks, hvec, k, d)
-        win = _window(offs, shape, out_lo, out_hi)
+        win = _window(offs.values(), shape, out_lo, out_hi)
         if win is None:
             continue
         wlo, whi = win
@@ -441,7 +116,17 @@ def _dual_field_np(stack, shape, k, d, out_lo, out_shape):
     return out
 
 
-def _dual_pair_field_np(stack1, stack2, shape, k, d, out_lo, out_shape):
+def dual_pair_field_sum(stack1, stack2, k, out_lo, out_shape):
+    """Raw double cubic sum over two shift vectors for two punctured stacks.
+
+    Evaluates, per output cell ``x``, the sum over ``(h, u)`` of
+    ``prod_a f1_a(x + a.h) * f2_a(x + a.h + a.u)``.
+    """
+    if stack1.shape != stack2.shape:
+        raise ValueError("the two stacks must share one common box")
+    out_lo = tuple(int(v) for v in out_lo)
+    out_shape = tuple(int(v) for v in out_shape)
+    shape, d = stack1.shape[1:], stack1.ndim - 1
     out = np.zeros(out_shape)
     out_hi = tuple(l + n for l, n in zip(out_lo, out_shape))
     h_ranges = [
@@ -457,9 +142,7 @@ def _dual_pair_field_np(stack1, stack2, shape, k, d, out_lo, out_shape):
         wvec = tuple(huvec[j] + huvec[kd + j] for j in range(kd))
         offs1 = _mask_offsets(masks, hvec, k, d)
         offs2 = _mask_offsets(masks, wvec, k, d)
-        both = {("a", m): o for m, o in offs1.items()}
-        both.update({("b", m): o for m, o in offs2.items()})
-        win = _window(both, shape, out_lo, out_hi)
+        win = _window(list(offs1.values()) + list(offs2.values()), shape, out_lo, out_hi)
         if win is None:
             continue
         wlo, whi = win
@@ -472,110 +155,3 @@ def _dual_pair_field_np(stack1, stack2, shape, k, d, out_lo, out_shape):
         osl = tuple(slice(l - ol, h - ol) for l, h, ol in zip(wlo, whi, out_lo))
         out[osl] += prod
     return out
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
-
-def _flat_layout(stack):
-    m = stack.shape[0]
-    shape = stack.shape[1:]
-    d = len(shape)
-    strides = np.empty(d, dtype=np.int64)
-    acc = 1
-    for a in range(d - 1, -1, -1):
-        strides[a] = acc
-        acc *= shape[a]
-    flat = np.ascontiguousarray(stack.reshape(m, -1))
-    return flat, np.asarray(shape, dtype=np.int64), strides, d
-
-
-def gowers_sum(stack, k):
-    """Raw correlation sum over the full cube for a ``(2^k, *box)`` stack.
-
-    Returns ``(acc, acc_abs)`` where ``acc_abs`` accumulates the absolute
-    products (the natural scale for the negative-clamp rule).
-    """
-    if stack.shape[0] != (1 << k):
-        raise ValueError(f"stack has {stack.shape[0]} rows, expected {1 << k}")
-    if _BACKEND == "numba":
-        flat, shape, strides, d = _flat_layout(stack)
-        lsb = _lsb_index_table(1 << k)
-        return _gowers_sum_jit(flat, shape, strides, k, d, lsb)
-    return _gowers_sum_np(stack, stack.shape[1:], k, stack.ndim - 1)
-
-
-def dual_field_sum(stack, k, out_lo, out_shape):
-    """Raw cubic convolution product field for a punctured ``(2^k - 1, *box)`` stack.
-
-    ``out_lo``/``out_shape`` select the evaluation box in coordinates relative
-    to the common frame; cells outside the natural support stay zero.
-    """
-    if stack.shape[0] != (1 << k) - 1:
-        raise ValueError(f"stack has {stack.shape[0]} rows, expected {(1 << k) - 1}")
-    out_lo = tuple(int(v) for v in out_lo)
-    out_shape = tuple(int(v) for v in out_shape)
-    if _BACKEND == "numba":
-        flat, shape, strides, d = _flat_layout(stack)
-        lsb = _lsb_index_table(1 << k)
-        out = np.zeros(int(np.prod(out_shape)))
-        out_strides = np.empty(d, dtype=np.int64)
-        acc = 1
-        for a in range(d - 1, -1, -1):
-            out_strides[a] = acc
-            acc *= out_shape[a]
-        _dual_field_jit(
-            flat,
-            shape,
-            strides,
-            k,
-            d,
-            lsb,
-            np.asarray(out_lo, dtype=np.int64),
-            np.asarray(out_shape, dtype=np.int64),
-            out_strides,
-            out,
-        )
-        return out.reshape(out_shape)
-    return _dual_field_np(stack, stack.shape[1:], k, stack.ndim - 1, out_lo, out_shape)
-
-
-def dual_pair_field_sum(stack1, stack2, k, out_lo, out_shape):
-    """Raw double cubic sum over two shift vectors for two punctured stacks.
-
-    Evaluates, per output cell ``x``, the sum over ``(h, u)`` of
-    ``prod_a f1_a(x + a.h) * f2_a(x + a.h + a.u)``.
-    """
-    if stack1.shape != stack2.shape:
-        raise ValueError("the two stacks must share one common box")
-    out_lo = tuple(int(v) for v in out_lo)
-    out_shape = tuple(int(v) for v in out_shape)
-    if _BACKEND == "numba":
-        flat1, shape, strides, d = _flat_layout(stack1)
-        flat2, _, _, _ = _flat_layout(stack2)
-        lsb = _lsb_index_table(1 << k)
-        out = np.zeros(int(np.prod(out_shape)))
-        out_strides = np.empty(d, dtype=np.int64)
-        acc = 1
-        for a in range(d - 1, -1, -1):
-            out_strides[a] = acc
-            acc *= out_shape[a]
-        _dual_pair_field_jit(
-            flat1,
-            flat2,
-            shape,
-            strides,
-            k,
-            d,
-            lsb,
-            np.asarray(out_lo, dtype=np.int64),
-            np.asarray(out_shape, dtype=np.int64),
-            out_strides,
-            out,
-        )
-        return out.reshape(out_shape)
-    return _dual_pair_field_np(
-        stack1, stack2, stack1.shape[1:], k, stack1.ndim - 1, out_lo, out_shape
-    )

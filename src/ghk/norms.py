@@ -104,9 +104,9 @@ def _shift_product_sum(values, k, out_lo=None, out_shape=None):
     With the box ``[out_lo, out_lo + out_shape)`` it is the dual field
     ``D_k f / w^(kd)`` there: each row also carries a weight that every peel
     multiplies by the outer factor ``g(y + h)``, and the order-2 base is the
-    cubic correlation ``ifft(F F conj F)`` padded to 3N per axis, whose
-    support is ``[-(N-1), 2N-1)``. Rows whose product or weight vanishes are
-    dropped. A batch holds about ``memory_budget() / 64`` padded f64 elements
+    cubic correlation ``ifft(F F conj F)`` padded to 3N per axis; the field
+    is zeroed off its order-k support. Rows whose product or weight vanishes
+    are dropped. A batch holds about ``memory_budget() / 64`` padded f64 elements
     (the transform and its temporaries), and never less than one transform
     row in the base or, in a peel, the products of one row at one value of
     the first shift coordinate.
@@ -168,9 +168,12 @@ def _shift_product_sum(values, k, out_lo=None, out_shape=None):
         z = np.fft.irfftn(spec * spec * np.conj(spec), s=padded, axes=axes)
         out += np.einsum("i...,i...->...", w, z[gather])
     for a, (lo, m) in enumerate(zip(out_lo, n)):
-        # zero the cyclic aliases off the support [-(N-1), 2N-1)
-        out[(slice(None),) * a + (slice(0, max(0, 1 - m - lo)),)] = 0.0
-        out[(slice(None),) * a + (slice(max(0, 2 * m - 1 - lo), None),)] = 0.0
+        # zero the cyclic aliases and roundoff off the order-k support
+        # [-floor((N-1)/(k-1)), floor(k(N-1)/(k-1))]: with p_i = y + h_i in
+        # [0, N), the full-cube vertex reads y + sum h_i = sum p_i - (k-1) y
+        s_lo, s_hi = -((m - 1) // (k - 1)), k * (m - 1) // (k - 1) + 1
+        out[(slice(None),) * a + (slice(0, max(0, s_lo - lo)),)] = 0.0
+        out[(slice(None),) * a + (slice(max(0, s_hi - lo), None),)] = 0.0
     return out
 
 

@@ -143,6 +143,24 @@ class TestDualRec:
         r = assert_rec_matches_brute(rand_grid(13, n=n, d=d), k, out_box)
         assert r.values.any() and not r.values.all()
 
+    # for k >= 3 the field vanishes exactly off the narrower per-axis range
+    # [-floor((N-1)/(k-1)), floor(k(N-1)/(k-1))], where FFT roundoff can read
+    # as a tiny negative value
+    @pytest.mark.parametrize(
+        "n, k, d", [(5, 3, 1), (7, 3, 1), (6, 4, 1), (4, 3, 2), (6, 5, 1)]
+    )
+    def test_exact_zero_off_order_k_support(self, n, k, d):
+        f = random_function("random-nonneg", d, n, 0.25, 1)
+        r = dual_rec(f, k, out_box="full")
+        coords = np.arange(r.extents[0]) + r.origin[0]
+        axis = (coords >= -((n - 1) // (k - 1))) & (coords <= k * (n - 1) // (k - 1))
+        inside = np.ones((), dtype=bool)
+        for _ in range(d):
+            inside = np.multiply.outer(inside, axis)
+        assert not (r.values < 0).any()
+        assert not r.values[~inside].any()
+        assert r.values[inside].all()
+
     @pytest.mark.parametrize("k, out_box", [(3, ((11,), (15,))), (4, ((-12,), (-5,)))])
     def test_box_outside_support_is_zero(self, k, out_box):
         r = assert_rec_matches_brute(rand_grid(14, n=6), k, out_box)
