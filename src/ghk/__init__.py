@@ -30,12 +30,7 @@ from .dual import (
     product_bound_gap,
     product_identity_gap,
 )
-from .exponents import (
-    ExponentTriple,
-    UniformityConstant,
-    exponent_triple,
-    holder_conjugate,
-)
+from .exponents import ExponentTriple, exponent_triple, holder_conjugate
 from .families import random_function, random_tuple
 from .grid import (
     GridFunction,
@@ -74,7 +69,6 @@ __all__ = [
     "GridFunction",
     "Spectrum",
     "SuiteReport",
-    "UniformityConstant",
     "VertexSet",
     "add",
     "continuity_modulus",

@@ -51,7 +51,6 @@ class AscentOptions:
     rel_tol: float = 1e-8
     step_init: float = 1.0
     backtrack: float = 0.5
-    seed: int = 0
 
     def __post_init__(self):
         if self.max_iters < 1:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 
 from . import __version__
 from .antiuniform import AscentOptions, decompose, dual_norm_lower
@@ -45,8 +46,6 @@ def _ascent_opts(args):
         kwargs["step_init"] = args.step_init
     if getattr(args, "backtrack", None) is not None:
         kwargs["backtrack"] = args.backtrack
-    if getattr(args, "seed", None) is not None:
-        kwargs["seed"] = args.seed
     return AscentOptions(**kwargs)
 
 
@@ -55,7 +54,6 @@ def _add_ascent_flags(sub):
     sub.add_argument("--rel-tol", type=float, default=None)
     sub.add_argument("--step-init", type=float, default=None)
     sub.add_argument("--backtrack", type=float, default=None)
-    sub.add_argument("--seed", type=int, default=None)
 
 
 def _print(doc, as_json):
@@ -132,19 +130,19 @@ def _cmd_check(args):
     name = args.name
     if name == "csg":
         fs = _tuple_from_files(args.inputs, args.k, punctured=False)
-        record = csg_gap(fs, work_budget=args.budget)
+        fn, fargs = csg_gap, (fs,)
     elif name == "lemma1":
         fs = _tuple_from_files(args.inputs, args.k, punctured=True)
-        record = lemma1_gap(fs, work_budget=args.budget)
+        fn, fargs = lemma1_gap, (fs,)
     elif name == "continuity":
         fs = _tuple_from_files(args.inputs, args.k, punctured=True)
         if args.shift is None:
             raise ValueError("continuity needs --shift (comma-separated integers)")
         v = tuple(int(c) for c in args.shift.split(","))
-        record = continuity_modulus(fs, v, work_budget=args.budget)
+        fn, fargs = continuity_modulus, (fs, v)
     elif name == "fourier-bound":
         fs = _tuple_from_files(args.inputs, args.k, punctured=True)
-        record = fourier_bound_gap(fs, work_budget=args.budget)
+        fn, fargs = fourier_bound_gap, (fs,)
     elif name in {"product-identity", "product-bound"}:
         m = (1 << args.k) - 1
         if len(args.inputs) != 2 * m:
@@ -152,9 +150,12 @@ def _cmd_check(args):
         fs1 = _tuple_from_files(args.inputs[:m], args.k, punctured=True)
         fs2 = _tuple_from_files(args.inputs[m:], args.k, punctured=True)
         fn = product_identity_gap if name == "product-identity" else product_bound_gap
-        record = fn(fs1, fs2, work_budget=args.budget)
+        fargs = (fs1, fs2)
     else:
         raise ValueError(f"unknown check {name!r}")
+    t0 = time.perf_counter()
+    record = fn(*fargs, work_budget=args.budget)
+    record.runtime_ms = 1e3 * (time.perf_counter() - t0)
     print(json.dumps(record.as_dict()))
     return 0 if record.passed is not False else 1
 

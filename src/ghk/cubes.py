@@ -32,21 +32,6 @@ class VertexSet:
     def __len__(self):
         return (1 << self.k) - (1 if self.punctured else 0)
 
-    @staticmethod
-    def dot(alpha, hvec):
-        """The shift ``alpha . h`` for ``hvec`` a sequence of d-vectors."""
-        d = len(hvec[0])
-        out = [0] * d
-        i = 0
-        a = alpha
-        while a:
-            if a & 1:
-                for axis in range(d):
-                    out[axis] += hvec[i][axis]
-            a >>= 1
-            i += 1
-        return tuple(out)
-
 
 class FunctionTuple:
     """A complete family ``(f_alpha)`` over ``V_k`` or its punctured version.

@@ -19,8 +19,6 @@ roundoff on all-equal tuples at a fraction of the cost.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from . import kernels
@@ -131,7 +129,6 @@ def _tuple_params(fs):
 
 def lemma1_gap(fs, work_budget=None):
     """Sup-norm domination of the dual field by the product of L^q_k norms."""
-    t0 = time.perf_counter()
     _require_punctured(fs, "lemma1_gap")
     trip = exponent_triple(fs.k)
     field = dual_brute(fs, out_box="full", work_budget=work_budget)
@@ -147,7 +144,6 @@ def lemma1_gap(fs, work_budget=None):
         ratio=safe_ratio(lhs, rhs),
         passed=passed,
         params=_tuple_params(fs),
-        runtime_ms=1e3 * (time.perf_counter() - t0),
     )
 
 
@@ -157,7 +153,6 @@ def continuity_modulus(fs, v, work_budget=None):
     The majorant telescopes one vertex at a time: for each vertex, one factor
     is the q_k norm of ``f - f^(v w)`` and the rest are plain q_k norms.
     """
-    t0 = time.perf_counter()
     _require_punctured(fs, "continuity_modulus")
     if np.isscalar(v):
         v = (v,) * fs.dim
@@ -185,7 +180,6 @@ def continuity_modulus(fs, v, work_budget=None):
         ratio=safe_ratio(lhs, rhs),
         passed=passed,
         params=params,
-        runtime_ms=1e3 * (time.perf_counter() - t0),
     )
 
 
@@ -196,7 +190,6 @@ def product_identity_gap(fs1, fs2, work_budget=None):
     the identity, so the two routes are independent. Work grows with the
     (2k)-fold shift space: smallest instances only.
     """
-    t0 = time.perf_counter()
     _require_punctured(fs1, "product_identity_gap")
     _require_punctured(fs2, "product_identity_gap")
     if fs1.k != fs2.k:
@@ -229,7 +222,6 @@ def product_identity_gap(fs1, fs2, work_budget=None):
         ratio=safe_ratio(lhs, rhs_scale),
         passed=(lhs <= IDENTITY_TOL * max(rhs_scale, 1e-300)) or (lhs == 0.0),
         params=_tuple_params(fs1),
-        runtime_ms=1e3 * (time.perf_counter() - t0),
     )
     return record
 
@@ -244,7 +236,6 @@ def _joint_frames(fs1, fs2):
 
 def product_bound_gap(fs1, fs2, work_budget=None):
     """Sup bound for the product of two dual fields by the q_k norm products."""
-    t0 = time.perf_counter()
     _require_punctured(fs1, "product_bound_gap")
     _require_punctured(fs2, "product_bound_gap")
     if fs1.k != fs2.k:
@@ -267,7 +258,6 @@ def product_bound_gap(fs1, fs2, work_budget=None):
         ratio=safe_ratio(lhs, rhs),
         passed=passed,
         params=_tuple_params(fs1),
-        runtime_ms=1e3 * (time.perf_counter() - t0),
     )
 
 
@@ -278,7 +268,6 @@ def fourier_bound_gap(fs, work_budget=None):
     maps L^{s_k} into the dual-lattice L^{p_k} with constant one; at ``k = 3``
     both exponents are 2 and the check is pure Parseval.
     """
-    t0 = time.perf_counter()
     _require_punctured(fs, "fourier_bound_gap")
     if fs.k < 3:
         raise ValueError(f"fourier_bound_gap requires k >= 3, got {fs.k}")
@@ -295,5 +284,4 @@ def fourier_bound_gap(fs, work_budget=None):
         ratio=safe_ratio(lhs, rhs),
         passed=passed,
         params=_tuple_params(fs),
-        runtime_ms=1e3 * (time.perf_counter() - t0),
     )

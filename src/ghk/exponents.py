@@ -78,19 +78,3 @@ def exponent_triple(k):
     s = Fraction(two_k, two_k - k - 1)
     assert s == holder_conjugate(p)
     return ExponentTriple(k=k, p=p, q=q, s=s)
-
-
-@dataclass(frozen=True)
-class UniformityConstant:
-    """Configurable constant ``a`` in the domination ``||f||_U(k) <= a ||f||_p_k``.
-
-    The value 1 is a valid upper bound on the lattice (plain Young inequality);
-    smaller experimental values may be supplied per run.
-    """
-
-    k: int
-    a: float = 1.0
-
-    def __post_init__(self):
-        if not (0.0 < self.a <= 1.0):
-            raise ValueError(f"uniformity constant must lie in (0, 1], got {self.a}")

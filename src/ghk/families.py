@@ -14,11 +14,10 @@ from .grid import GridFunction, lp_norm, scale
 FAMILIES = ("indicator-box", "tent", "gaussian-bump", "random-nonneg", "random-signed")
 
 
-def random_function(family, d, N, w, seed, normalize_p=None):
+def random_function(family, d, N, w, seed):
     """Draw one grid function from a named family.
 
-    ``normalize_p`` optionally rescales to unit L^p norm (p may be a
-    Fraction or float). Nonnegative families produce values >= 0.
+    Nonnegative families produce values >= 0.
     """
     d = int(d)
     N = int(N)
@@ -60,23 +59,15 @@ def random_function(family, d, N, w, seed, normalize_p=None):
         values = rng.uniform(-1.0, 1.0, shape)
     else:
         raise ValueError(f"unknown function family {family!r}")
-    f = GridFunction(values, w, (0,) * d)
-    if normalize_p is not None:
-        nrm = lp_norm(f, normalize_p)
-        if nrm > 0.0:
-            f = scale(f, 1.0 / nrm)
-    return f
+    return GridFunction(values, w, (0,) * d)
 
 
-def random_tuple(family, k, d, N, w, seed, punctured=False, normalize_p=None):
+def random_tuple(family, k, d, N, w, seed, punctured=False):
     """A complete vertex tuple with one independent draw per vertex."""
     from .cubes import FunctionTuple, VertexSet
 
     vs = VertexSet(k, punctured=punctured)
-    fns = [
-        random_function(family, d, N, w, seed * 1000 + i, normalize_p)
-        for i in range(len(vs))
-    ]
+    fns = [random_function(family, d, N, w, seed * 1000 + i) for i in range(len(vs))]
     return FunctionTuple(vs, fns)
 
 

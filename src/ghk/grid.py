@@ -125,12 +125,6 @@ def from_values(values, spacing=1.0, origin=0):
     return GridFunction(np.asarray(values, dtype=np.float64), spacing, origin)
 
 
-def zero_like(f, extents=None, origin=None):
-    shape = f.extents if extents is None else tuple(extents)
-    org = f.origin if origin is None else origin
-    return GridFunction(np.zeros(shape), f.spacing, org)
-
-
 def _require_same_spacing(f, g):
     if abs(f.spacing - g.spacing) > _SPACING_RTOL * max(f.spacing, g.spacing):
         raise ValueError(
@@ -317,14 +311,6 @@ class Spectrum:
     @property
     def dim(self):
         return self.values.ndim
-
-    @property
-    def transform_lengths(self):
-        return self.values.shape
-
-    @property
-    def frequency_pitch(self):
-        return tuple(1.0 / (m * self.spacing) for m in self.values.shape)
 
     @property
     def frequency_cell_measure(self):

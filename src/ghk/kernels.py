@@ -1,19 +1,21 @@
 """Hot correlation kernels: the brute-force flat sums, in numpy.
 
 These sums are the oracles every fast route is checked against, and they
-dominate the toolkit's runtime. Each kernel loops over the shift vectors in
-Python and vectorizes over ``x`` with numpy; results are bit-reproducible run
-to run.
+dominate the toolkit's runtime. All three are one loop, ``_flat_terms``, with
+three reductions: ``gowers_sum`` adds up each flat term, ``dual_field_sum``
+and ``dual_pair_field_sum`` add each term into an output box. The loop walks
+the shift vectors in Python and vectorizes over ``x`` with numpy; results are
+bit-reproducible run to run.
 
 All kernels work on a dense stack of vertex functions embedded in one common
 box and return *raw* lattice sums; callers apply the ``w``-power measure
-weights. Offsets are bitmask driven: row ``alpha`` is read at
-``x + sum_i bit_i(alpha) * h_i``, and reads outside the box contribute zero
-(enforced by intersecting per-axis validity windows, so every slice stays
-inside the box).
+weights. Offsets are bitmask driven: row ``r`` is read at ``x`` plus the sum
+of the shift vectors whose bits are set in its mask, and reads outside the
+box contribute zero (enforced by intersecting per-axis validity windows, so
+every slice stays inside the box).
 
-Reduction order is fixed: one partial sum per shift vector, accumulated in
-odometer order.
+Reduction order is fixed: one product per shift vector, its factors in row
+order, accumulated in odometer order.
 """
 
 from __future__ import annotations
@@ -23,35 +25,55 @@ import itertools
 import numpy as np
 
 
-def _mask_offsets(masks, hvec, k, d):
-    # hvec: flat int tuple of length k*d
-    offs = {}
-    for mask in masks:
-        o = [0] * d
-        for i in range(k):
-            if mask >> i & 1:
+def _flat_terms(rows, masks, ranges, lo, hi):
+    """Yield ``(wlo, whi, prod)`` for each shift vector in odometer order.
+
+    ``ranges`` holds one range per coordinate of the flat shift vector, which
+    is made of ``len(ranges) // d`` shifts of ``d`` coordinates each. Row
+    ``r`` is read at ``x`` plus the shifts whose bits are set in
+    ``masks[r]``; ``prod`` is the product of the reads, in row order, over
+    the window ``[wlo, whi)`` of ``[lo, hi)`` where every read stays in the
+    frame. Shift vectors with an empty window yield nothing.
+    """
+    shape = rows[0].shape
+    d = len(shape)
+    # the first coordinate of each shift that a row reads
+    bits = [[i * d for i in range(len(ranges) // d) if mask >> i & 1] for mask in masks]
+    for hvec in itertools.product(*ranges):
+        wlo, whi = list(lo), list(hi)
+        offs = []
+        for b in bits:
+            off = [0] * d
+            for j in b:
                 for a in range(d):
-                    o[a] += hvec[i * d + a]
-        offs[mask] = tuple(o)
-    return offs
+                    off[a] += hvec[j + a]
+            for a in range(d):
+                wlo[a] = max(wlo[a], -off[a])
+                whi[a] = min(whi[a], shape[a] - off[a])
+            offs.append(off)
+        if any(l >= h for l, h in zip(wlo, whi)):
+            continue
+        reads = (
+            row[tuple(slice(l + o, h + o) for l, h, o in zip(wlo, whi, off))]
+            for row, off in zip(rows, offs)
+        )
+        prod = next(reads).copy()
+        for r in reads:
+            prod *= r
+        yield wlo, whi, prod
 
 
-def _window(offs, shape, base_lo, base_hi):
-    # the x-box inside [base_lo, base_hi) where every offset read stays in the frame
-    lo = list(base_lo)
-    hi = list(base_hi)
-    for o in offs:
-        for a, oa in enumerate(o):
-            lo[a] = max(lo[a], -oa)
-            hi[a] = min(hi[a], shape[a] - oa)
-    if any(l >= h for l, h in zip(lo, hi)):
-        return None
-    return tuple(lo), tuple(hi)
+def _field(rows, masks, ranges, out_lo, out_hi):
+    # adds every flat term into its cells of the output box [out_lo, out_hi)
+    out = np.zeros(tuple(h - l for l, h in zip(out_lo, out_hi)))
+    for wlo, whi, prod in _flat_terms(rows, masks, ranges, out_lo, out_hi):
+        out[tuple(slice(l - ol, h - ol) for l, h, ol in zip(wlo, whi, out_lo))] += prod
+    return out
 
 
-def _sliced(row, off, wlo, whi):
-    sl = tuple(slice(l + o, h + o) for l, h, o in zip(wlo, whi, off))
-    return row[sl]
+def _out_box(out_lo, out_shape):
+    out_lo = tuple(int(v) for v in out_lo)
+    return out_lo, tuple(l + int(n) for l, n in zip(out_lo, out_shape))
 
 
 def gowers_sum(stack, k):
@@ -62,20 +84,11 @@ def gowers_sum(stack, k):
     """
     if stack.shape[0] != (1 << k):
         raise ValueError(f"stack has {stack.shape[0]} rows, expected {1 << k}")
-    m, shape, d = stack.shape[0], stack.shape[1:], stack.ndim - 1
-    zero = (0,) * d
+    shape = stack.shape[1:]
+    ranges = [range(-(n - 1), n) for n in shape] * k
     acc = 0.0
     accabs = 0.0
-    ranges = [range(-(shape[a] - 1), shape[a]) for _ in range(k) for a in range(d)]
-    for hvec in itertools.product(*ranges):
-        offs = _mask_offsets(range(m), hvec, k, d)
-        win = _window(offs.values(), shape, zero, shape)
-        if win is None:
-            continue
-        wlo, whi = win
-        prod = _sliced(stack[0], offs[0], wlo, whi).copy()
-        for mask in range(1, m):
-            prod *= _sliced(stack[mask], offs[mask], wlo, whi)
+    for _, _, prod in _flat_terms(stack, range(1 << k), ranges, (0,) * len(shape), shape):
         acc += float(np.sum(prod))
         accabs += float(np.sum(np.abs(prod)))
     return acc, accabs
@@ -89,69 +102,34 @@ def dual_field_sum(stack, k, out_lo, out_shape):
     """
     if stack.shape[0] != (1 << k) - 1:
         raise ValueError(f"stack has {stack.shape[0]} rows, expected {(1 << k) - 1}")
-    out_lo = tuple(int(v) for v in out_lo)
-    out_shape = tuple(int(v) for v in out_shape)
-    shape, d = stack.shape[1:], stack.ndim - 1
-    out = np.zeros(out_shape)
-    out_hi = tuple(l + n for l, n in zip(out_lo, out_shape))
-    ranges = [
-        range(-(out_hi[a] - 1), shape[a] - out_lo[a])
-        for _ in range(k)
-        for a in range(d)
-    ]
-    masks = range(1, 1 << k)
-    for hvec in itertools.product(*ranges):
-        offs = _mask_offsets(masks, hvec, k, d)
-        win = _window(offs.values(), shape, out_lo, out_hi)
-        if win is None:
-            continue
-        wlo, whi = win
-        prod = _sliced(stack[0], offs[1], wlo, whi).copy()
-        for mask in masks:
-            if mask == 1:
-                continue
-            prod *= _sliced(stack[mask - 1], offs[mask], wlo, whi)
-        osl = tuple(slice(l - ol, h - ol) for l, h, ol in zip(wlo, whi, out_lo))
-        out[osl] += prod
-    return out
+    out_lo, out_hi = _out_box(out_lo, out_shape)
+    shape = stack.shape[1:]
+    ranges = [range(-(h - 1), n - l) for l, h, n in zip(out_lo, out_hi, shape)] * k
+    return _field(stack, range(1, 1 << k), ranges, out_lo, out_hi)
 
 
 def dual_pair_field_sum(stack1, stack2, k, out_lo, out_shape):
     """Raw double cubic sum over two shift vectors for two punctured stacks.
 
     Evaluates, per output cell ``x``, the sum over ``(h, u)`` of
-    ``prod_a f1_a(x + a.h) * f2_a(x + a.h + a.u)``.
+    ``prod_a f1_a(x + a.h) * f2_a(x + a.h + a.u)``: a field sum over the
+    ``2k`` shifts ``(h, u)`` in which ``f2_a`` has the mask ``a | a << k``.
     """
     if stack1.shape != stack2.shape:
         raise ValueError("the two stacks must share one common box")
-    out_lo = tuple(int(v) for v in out_lo)
-    out_shape = tuple(int(v) for v in out_shape)
-    shape, d = stack1.shape[1:], stack1.ndim - 1
-    out = np.zeros(out_shape)
-    out_hi = tuple(l + n for l, n in zip(out_lo, out_shape))
-    h_ranges = [
-        (-(out_hi[a] - 1), shape[a] - 1 - out_lo[a]) for _ in range(k) for a in range(d)
-    ]
+    if stack1.shape[0] != (1 << k) - 1:
+        raise ValueError(f"stacks have {stack1.shape[0]} rows, expected {(1 << k) - 1}")
+    out_lo, out_hi = _out_box(out_lo, out_shape)
+    shape = stack1.shape[1:]
+    h_ranges = [(-(h - 1), n - 1 - l) for l, h, n in zip(out_lo, out_hi, shape)] * k
     ranges = [range(lo, hi + 1) for lo, hi in h_ranges] + [
         range(lo - hi, hi - lo + 1) for lo, hi in h_ranges
     ]
     masks = range(1, 1 << k)
-    kd = k * d
-    for huvec in itertools.product(*ranges):
-        hvec = huvec[:kd]
-        wvec = tuple(huvec[j] + huvec[kd + j] for j in range(kd))
-        offs1 = _mask_offsets(masks, hvec, k, d)
-        offs2 = _mask_offsets(masks, wvec, k, d)
-        win = _window(list(offs1.values()) + list(offs2.values()), shape, out_lo, out_hi)
-        if win is None:
-            continue
-        wlo, whi = win
-        prod = _sliced(stack1[0], offs1[1], wlo, whi).copy()
-        for mask in masks:
-            if mask != 1:
-                prod *= _sliced(stack1[mask - 1], offs1[mask], wlo, whi)
-        for mask in masks:
-            prod *= _sliced(stack2[mask - 1], offs2[mask], wlo, whi)
-        osl = tuple(slice(l - ol, h - ol) for l, h, ol in zip(wlo, whi, out_lo))
-        out[osl] += prod
-    return out
+    return _field(
+        np.concatenate([stack1, stack2]),
+        list(masks) + [a | a << k for a in masks],
+        ranges,
+        out_lo,
+        out_hi,
+    )

@@ -49,15 +49,6 @@ class CheckRecord:
             doc["runtime_ms"] = self.runtime_ms
         return doc
 
-    def with_meta(self, seed=None, params=None, runtime_ms=None):
-        if seed is not None:
-            self.seed = seed
-        if params is not None:
-            self.params = dict(params)
-        if runtime_ms is not None:
-            self.runtime_ms = runtime_ms
-        return self
-
 
 def config_hash(config):
     """Stable hash of a JSON-serializable suite configuration."""

@@ -137,6 +137,7 @@ class TestCheckCmd:
         assert code == 0
         doc = json.loads(out)
         assert doc["name"] == "eq2.1-lemma1" and doc["pass"] is True
+        assert doc["runtime_ms"] > 0.0
 
     def test_continuity_needs_shift(self, capsys, grids):
         code, _, err = run_cli(

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from ghk import UniformityConstant, exponent_triple, holder_conjugate
+from ghk import exponent_triple, holder_conjugate
 
 
 class TestExponentTriple:
@@ -66,16 +66,3 @@ class TestHolderConjugate:
         for p in (1, Fraction(1), 0.5, -2):
             with pytest.raises(ValueError):
                 holder_conjugate(p)
-
-
-class TestUniformityConstant:
-    def test_default_is_one(self):
-        assert UniformityConstant(2).a == 1.0
-
-    def test_range_validation(self):
-        for a in (0.0, -0.5, 1.5):
-            with pytest.raises(ValueError):
-                UniformityConstant(2, a)
-
-    def test_override(self):
-        assert UniformityConstant(3, 0.9).a == 0.9

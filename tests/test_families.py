@@ -44,10 +44,6 @@ class TestRandomFunction:
         with pytest.raises(ValueError, match="unknown"):
             random_function("perlin", 1, 8, 0.25, 0)
 
-    def test_normalize_p(self):
-        f = random_function("random-nonneg", 1, 8, 0.25, 5, normalize_p=4 / 3)
-        assert lp_norm(f, 4 / 3) == pytest.approx(1.0, rel=1e-12)
-
     def test_dimensions(self):
         for d in (1, 2, 3):
             f = random_function("random-nonneg", d, 4, 0.5, 9)

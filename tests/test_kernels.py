@@ -120,6 +120,14 @@ class TestDualPairField:
         want = dual_pair_oracle(list(s1), list(s2), k, out_lo, out_shape)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * max(1, np.abs(want).max()))
 
+    def test_row_count_validated(self):
+        # the rows are zipped with their masks, so a short stack must not
+        # silently pair f2 rows with f1 masks
+        with pytest.raises(ValueError, match="rows"):
+            kernels.dual_pair_field_sum(
+                rand_stack(1, 2, (3,)), rand_stack(2, 2, (3,)), 2, (0,), (3,)
+            )
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="common box"):
             kernels.dual_pair_field_sum(

@@ -178,10 +178,6 @@ class TestSpectral:
             gowers_norm_spectral_u2(f), rel=1e-12
         )
 
-    def test_padding_guard(self):
-        with pytest.raises(ValueError, match="padding"):
-            gowers_norm_spectral_u2(rand_grid(12), padding_factor=2)
-
     def test_dispatch(self):
         f = rand_grid(13)
         assert gowers_norm(f, 2, algo="spectral") == gowers_norm_spectral_u2(f)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from ghk import suite
 from ghk.budget import BudgetExceededError
 from ghk.records import CheckRecord, SuiteReport, config_hash, safe_ratio
 from ghk.suite import CHECKS, resolved_config, run_check, run_suite
@@ -68,6 +69,16 @@ class TestRunSuite:
         a = run_suite(SMALL_CONFIG, threads=1)
         b = run_suite(SMALL_CONFIG, threads=4)
         assert a.canonical_bytes() == b.canonical_bytes()
+
+    def test_serial_by_default(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("run_suite started a thread pool without threads > 1")
+
+        monkeypatch.setattr(suite, "ThreadPoolExecutor", no_pool)
+        cfg = {"checks": ["eq1.6-homogeneity"], "k": [2], "d": [1], "n": 4, "reps": 2}
+        rep = run_suite(cfg)
+        assert len(rep.records) == 2 and rep.all_passed
+        assert all(r.runtime_ms > 0.0 for r in rep.records)
 
     def test_empty_config(self):
         rep = run_suite({"checks": [], "reps": 0})
