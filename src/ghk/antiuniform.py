@@ -29,6 +29,11 @@ ascent stays monotone.
 ``H`` is *defined* as the residual ``g - D_k F``, making the decomposition
 identity exact regardless of optimizer quality; all approximation error lands
 in the norm bounds, never in the sum.
+
+Each seed and each trial step of an ascent costs one pass of the
+shift-product engine, which returns the iterate's U(k) norm and its dual
+field on the frame (padded to 2N per axis) together. The loop works on bare
+frame arrays and builds grid functions only for what it returns.
 """
 
 from __future__ import annotations
@@ -37,9 +42,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dual import dual_rec
+from .dual import _norm_and_dual
 from .exponents import exponent_triple
-from .grid import GridFunction, common_frame, embed, inner, lp_norm, scale
+from .grid import GridFunction, _lp_norm, common_frame, embed, inner, lp_norm, scale
 from .norms import gowers_norm_rec
 
 
@@ -100,6 +105,13 @@ def _signed_power(values, expo):
     return out * np.sign(values)
 
 
+def _require_finite(values):
+    # the check a GridFunction makes on construction, for the ascent's arrays
+    if not np.isfinite(values).all():
+        raise ValueError("grid values must be finite (no NaN/inf)")
+    return values
+
+
 class _UniformityBall:
     """The U(k) norm; the gradient of ``norm^(2^k) / 2^k`` is the dual field."""
 
@@ -109,32 +121,34 @@ class _UniformityBall:
         self.k = int(k)
         self.two_k = 1 << self.k
 
-    def norm_from(self, f, u):
+    def norm_from(self, fv, u):
         return u
 
-    def grad_from(self, f, dual_vals):
+    def grad_from(self, fv, dual_vals):
         return dual_vals
 
 
 class _BlendBall:
-    """The delta-regularized blend of the U(k) and L^p_k norms."""
+    """The delta-regularized blend of the U(k) and L^p_k norms, on a lattice
+    of cell measure ``cell``."""
 
     gated = True
 
-    def __init__(self, k, delta):
+    def __init__(self, k, delta, cell):
         self.k = int(k)
         self.delta = float(delta)
+        self.cell = cell
         self.p = exponent_triple(self.k).p_float
         self.s = exponent_triple(self.k).s_float
         self.two_k = 1 << self.k
         self.coef = self.delta ** (2 * self.two_k)
 
     def norm(self, f):
-        return self.norm_from(f, gowers_norm_rec(f, self.k))
+        return self.norm_from(f.values, gowers_norm_rec(f, self.k))
 
-    def norm_from(self, f, u):
-        """The blend norm of ``f`` given its U(k) norm ``u``."""
-        pn = lp_norm(f, self.p)
+    def norm_from(self, fv, u):
+        """The blend norm of cell values ``fv`` given their U(k) norm ``u``."""
+        pn = _lp_norm(fv, self.cell, self.p)
         return (u ** self.two_k + self.coef * pn ** self.two_k) ** (1.0 / self.two_k)
 
     def _p_term(self, values, pn):
@@ -144,27 +158,25 @@ class _BlendBall:
             values, self.p - 1.0
         )
 
-    def grad_from(self, f, dual_vals):
-        return dual_vals + self._p_term(f.values, lp_norm(f, self.p))
+    def grad_from(self, fv, dual_vals):
+        return dual_vals + self._p_term(fv, _lp_norm(fv, self.cell, self.p))
 
-    def residual_from(self, g, f, val, dual_vals):
+    def residual_from(self, gv, fv, val, dual_vals):
         """Stationarity defect for ``F = val^(1/(2^k-1)) f`` against ``g``.
 
         ``dual_vals`` is the dual field of ``f`` (unit blend norm); by
         homogeneity the dual field of ``F`` is ``val`` times it.
         """
-        Fv = val ** (1.0 / (self.two_k - 1)) * f.values
-        F = GridFunction(Fv, f.spacing, f.origin)
-        closed = val * dual_vals + self._p_term(Fv, lp_norm(F, self.p))
-        gap = GridFunction(g.values - closed, g.spacing, g.origin)
-        return lp_norm(gap, self.s)
+        Fv = val ** (1.0 / (self.two_k - 1)) * fv
+        closed = val * dual_vals + self._p_term(Fv, _lp_norm(Fv, self.cell, self.p))
+        return _lp_norm(_require_finite(gv - closed), self.cell, self.s)
 
 
 def triple_norm(f, k, delta):
     """The blend norm ``(||f||_U^(2^k) + delta^(2^(k+1)) ||f||_p^(2^k))^(1/2^k)``."""
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
-    return _BlendBall(k, delta).norm(f)
+    return _BlendBall(k, delta, f.cell_measure).norm(f)
 
 
 def _seeds(g, k, candidates):
@@ -182,60 +194,57 @@ def _ascend(g, k, ball, opts, candidates):
 
     The objective is strictly monotone over accepted steps; when the ball is
     gated, acceptance additionally requires the stationarity residual not to
-    increase, so the recorded residual trail is non-increasing. Returns
+    increase, so the recorded residual trail is non-increasing. Every seed
+    and every trial step costs one engine pass, which gives its U(k) norm and
+    its dual field together; the loop works on frame arrays. Returns
     ``(f, val, iterations, converged, history)`` with ``f`` of unit ball norm
-    and history entries ``(iterate, value, residual-or-None, U(k) norm)``.
+    and history entries ``(value, residual-or-None, U(k) norm)``, one per
+    iterate.
     """
     if not np.any(g.values):
         raise ValueError("the dual-norm objective needs a nonzero g")
 
-    frame_lo, frame_hi, stack = common_frame([g] + _seeds(g, k, candidates))
-    g_frame = GridFunction(stack[0], g.spacing, frame_lo)
+    frame_lo, _, stack = common_frame([g] + _seeds(g, k, candidates))
+    gv, w, cell, two_k = stack[0], g.spacing, g.cell_measure, ball.two_k
 
     best = None
-    for seed_vals in stack[1:]:
-        cand = GridFunction(seed_vals, g.spacing, frame_lo)
-        u = gowers_norm_rec(cand, ball.k)
-        nrm = ball.norm_from(cand, u)
+    for fv in stack[1:]:
+        u, dual = _norm_and_dual(fv, w, ball.k)
+        nrm = ball.norm_from(fv, u)
         if nrm <= 0.0:
             continue
-        val = inner(g_frame, cand) / nrm
+        val = cell * float(np.sum(gv * fv)) / nrm
         if val < 0.0:
-            cand = scale(cand, -1.0)
-            val = -val
+            # D_k is odd: 2^k - 1 factors
+            fv, dual, val = fv * -1.0, dual * -1.0, -val
         if best is None or val > best[1]:
-            best = (scale(cand, 1.0 / nrm), val, u / nrm)
+            best = (fv * (1.0 / nrm), val, u / nrm, dual / nrm ** (two_k - 1))
     if best is None:
         raise ValueError("no admissible starting point (all seeds degenerate)")
 
-    f, val, u_f = best
-    dual_f = dual_rec(f, ball.k).values
-    resid = ball.residual_from(g_frame, f, val, dual_f) if ball.gated else None
-    history = [(f, val, resid, u_f)]
+    f, val, u_f, dual_f = best
+    resid = ball.residual_from(gv, f, val, dual_f) if ball.gated else None
+    history = [(val, resid, u_f)]
     step = opts.step_init
     iterations = 0
     converged = False
     for _ in range(opts.max_iters):
-        grad = g_frame.values - val * ball.grad_from(f, dual_f)
-        if not np.all(np.isfinite(grad)):
+        grad = gv - val * ball.grad_from(f, dual_f)
+        if not np.isfinite(grad).all():
             raise ArithmeticError("non-finite ascent gradient (upstream bug)")
         accepted = False
         s = step
         while s > 1e-16 * opts.step_init:
-            trial = GridFunction(f.values + s * grad, g.spacing, frame_lo)
-            u = gowers_norm_rec(trial, ball.k)
+            trial = _require_finite(f + s * grad)
+            u, dual = _norm_and_dual(trial, w, ball.k)
             nrm = ball.norm_from(trial, u)
             if nrm > 0.0:
-                val_try = inner(g_frame, trial) / nrm
+                val_try = cell * float(np.sum(gv * trial)) / nrm
                 if val_try > val * (1.0 + 1e-15):
-                    dual_try = dual_rec(trial, ball.k).values / nrm ** (
-                        ball.two_k - 1
-                    )
-                    f_try = scale(trial, 1.0 / nrm)
+                    dual_try = dual / nrm ** (two_k - 1)
+                    f_try = _require_finite(trial * (1.0 / nrm))
                     if ball.gated:
-                        resid_try = ball.residual_from(
-                            g_frame, f_try, val_try, dual_try
-                        )
+                        resid_try = ball.residual_from(gv, f_try, val_try, dual_try)
                         if resid_try > resid * (1.0 + 1e-12):
                             s *= opts.backtrack
                             continue
@@ -252,12 +261,12 @@ def _ascend(g, k, ball, opts, candidates):
             converged = True
             break
         iterations += 1
-        history.append((f, val, resid, u_f))
+        history.append((val, resid, u_f))
         step = min(s / opts.backtrack, opts.step_init)
         if val - prev <= opts.rel_tol * abs(val):
             converged = True
             break
-    return f, val, iterations, converged, history
+    return GridFunction(f, w, frame_lo), val, iterations, converged, history
 
 
 def dual_norm_lower(g, k, opts=None, candidates=()):
@@ -270,7 +279,7 @@ def dual_norm_lower(g, k, opts=None, candidates=()):
     opts = opts or AscentOptions()
     ball = _UniformityBall(k)
     f, _, iterations, converged, history = _ascend(g, k, ball, opts, candidates)
-    witness = scale(f, 1.0 / history[-1][3])
+    witness = scale(f, 1.0 / history[-1][2])
     value = inner(g, witness)
     return DualNormEstimate(
         value=value, witness=witness, iterations=iterations, converged=converged
@@ -280,7 +289,7 @@ def dual_norm_lower(g, k, opts=None, candidates=()):
 def triple_dual_lower(g, k, delta, opts=None, candidates=()):
     """Certified lower bound on the dual of the blend norm."""
     opts = opts or AscentOptions()
-    ball = _BlendBall(k, delta)
+    ball = _BlendBall(k, delta, g.cell_measure)
     f, _, iterations, converged, _ = _ascend(g, k, ball, opts, candidates)
     witness = scale(f, 1.0 / ball.norm(f))
     value = inner(g, witness)
@@ -313,7 +322,7 @@ def decompose(g, k, delta, opts=None, dual_candidates=()):
     base = dual_norm_lower(g, k, opts, dual_candidates)
     g1 = scale(g, 1.0 / base.value)
 
-    ball = _BlendBall(k, delta)
+    ball = _BlendBall(k, delta, g.cell_measure)
     f, val, iterations, converged, history = _ascend(
         g1, k, ball, opts, dual_candidates
     )
@@ -321,7 +330,7 @@ def decompose(g, k, delta, opts=None, dual_candidates=()):
     # Any iterate whose plain dual objective beats the first-stage estimate
     # would push C above 1; fold the best one back into the normalization.
     # Iterates have unit blend norm, so that objective is value / U-norm.
-    u_corr = max([1.0] + [vi / ui for _, vi, _, ui in history if ui > 0.0])
+    u_corr = max([1.0] + [vi / ui for vi, _, ui in history if ui > 0.0])
 
     lo, hi = f.box
     g2 = GridFunction(embed(g1, lo, hi) * (1.0 / u_corr), g1.spacing, lo)
@@ -329,29 +338,29 @@ def decompose(g, k, delta, opts=None, dual_candidates=()):
 
     C = val / u_corr
     F = scale(f, C ** (1.0 / (two_k - 1)))
-    dkF = dual_rec(F, k)
+    F_U, dkF = _norm_and_dual(F.values, F.spacing, k)
     # H is the float residual. Cells where the dual field and the residual
     # live in a coarser binade than g cannot round back to g exactly, so the
     # normalized input is reconstituted as the rounded sum: the decomposition
     # identity then holds bit for bit, and the reconstituted g differs from
     # g / scale by at most one ulp per cell (far inside the normalization
     # estimate gap the bound tolerances already absorb).
-    Hv = g2.values - dkF.values
-    g2 = GridFunction(dkF.values + Hv, g2.spacing, g2.origin)
+    Hv = g2.values - dkF
+    g2 = GridFunction(dkF + Hv, g2.spacing, g2.origin)
     H = GridFunction(Hv, g2.spacing, g2.origin)
 
     # residuals are positively homogeneous in g, so dividing by the common
     # normalization preserves both values and the non-increasing order
-    residual_history = [ri / u_corr for _, _, ri, _ in history]
+    residual_history = [ri / u_corr for _, ri, _ in history]
     pn = lp_norm(F, ball.p)
-    closed = dkF.values + ball._p_term(F.values, pn)
+    closed = dkF + ball._p_term(F.values, pn)
     stationarity_residual = lp_norm(
         GridFunction(g2.values - closed, g2.spacing, g2.origin), ball.s
     )
 
     norms = {
         "F_p": pn,
-        "F_U": gowers_norm_rec(F, k),
+        "F_U": F_U,
         "H_s": lp_norm(H, ball.s),
     }
     diagnostics = {
@@ -394,9 +403,9 @@ def corollary5(phi, k, opts=None):
     pnorm = lp_norm(phi, trip.p_float)
     if pnorm > 1.0 + 1e-12:
         phi = scale(phi, 1.0 / pnorm)
-    theta = gowers_norm_rec(phi, k)
+    theta, dual_phi = _norm_and_dual(phi.values, phi.spacing, k)
     if theta <= 0.0:
         raise ValueError("corollary5 needs ||phi||_U(k) > 0")
-    g = scale(dual_rec(phi, k), theta ** (-(1 << k) + 1))
+    g = scale(GridFunction(dual_phi, phi.spacing, phi.origin), theta ** (-(1 << k) + 1))
     res = decompose(g, k, theta / 2.0, opts, dual_candidates=(phi,))
     return scale(res.F, theta / 2.0)

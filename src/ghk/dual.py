@@ -14,7 +14,11 @@ ends.
 ``D_k f(x) = w^d sum_h f(x+h) D_(k-1)(f^h f)(x)``, down to an order-2 base
 evaluated by FFT, through the shift-product engine it shares with
 ``norms.gowers_norm_rec``; it matches ``dual_brute`` pointwise to float
-roundoff on all-equal tuples at a fraction of the cost.
+roundoff on all-equal tuples at a fraction of the cost. The engine clips the
+output box to the field's order-k support and pads each axis only as far as
+the clipped box needs: 2N on the frame box, at most about 3N on the covering
+box.
+``_norm_and_dual`` takes the norm and the field on the frame from one pass.
 """
 
 from __future__ import annotations
@@ -35,7 +39,13 @@ from .grid import (
     scale,
     shift,
 )
-from .norms import INEQ_SLACK, _shift_product_sum
+from .norms import (
+    INEQ_SLACK,
+    _check_pow2,
+    _norm_from_power,
+    _shift_product_sum,
+    _unit_binade,
+)
 from .records import CheckRecord, safe_ratio
 
 IDENTITY_TOL = 1e-9
@@ -81,21 +91,49 @@ def dual_brute(fs, out_box=None, work_budget=None):
     return GridFunction(values, fs.spacing, origin)
 
 
+def _field_from(raw, spacing, k, e):
+    """``D_k f`` from the engine's field of ``f * 2**-e``: ``D_k`` is
+    homogeneous of degree ``2^k - 1``."""
+    field = raw * spacing ** (k * raw.ndim)
+    e *= (1 << k) - 1
+    _check_pow2(float(np.abs(field).max()), e, f"order-{k} dual field")
+    return np.ldexp(field, e)
+
+
 def dual_rec(f, k, out_box=None):
     """Recursive dual field for the all-equal tuple ``f_alpha = f``.
 
     Cost is ``(2N)^d`` order-(k-1) fields instead of the ``(2N)^(kd)`` shift
-    sum; general (non-equal) tuples go through :func:`dual_brute`.
+    sum; general (non-equal) tuples go through :func:`dual_brute`. Evaluated
+    on ``f`` rescaled by a power of two, so the field comes back correctly
+    scaled, or ``OverflowError`` is raised when its largest magnitude is not
+    a normal float64.
     """
     k = int(k)
     if k < 2:
         raise ValueError(f"dual_rec requires k >= 2, got {k}")
     lo, hi = f.box
     rel_lo, out_shape = _resolve_out_box(lo, hi, out_box)
-    raw = _shift_product_sum(np.asarray(f.values), k, rel_lo, out_shape)
-    values = raw * f.spacing ** (k * f.dim)
+    values, e = _unit_binade(f.values)
+    raw, _ = _shift_product_sum(values, k, rel_lo, out_shape)
     origin = tuple(fl + rl for fl, rl in zip(lo, rel_lo))
-    return GridFunction(values, f.spacing, origin)
+    return GridFunction(_field_from(raw, f.spacing, k, e), f.spacing, origin)
+
+
+def _norm_and_dual(values, spacing, k):
+    """``(||f||_U(k), D_k f on the frame)`` for frame values, from one pass
+    of the engine.
+
+    The field equals ``dual_rec(f, k).values`` bit for bit; the norm is the
+    power sum the same pass takes from its base spectra, exact because the
+    frame box contains the frame.
+    """
+    scaled, e = _unit_binade(values)
+    raw, power = _shift_product_sum(scaled, k, (0,) * scaled.ndim, scaled.shape)
+    return (
+        _norm_from_power(power, spacing, scaled.ndim, k, e),
+        _field_from(raw, spacing, k, e),
+    )
 
 
 def dual_field(fs_or_f, k=None, algo="brute", out_box=None, work_budget=None):

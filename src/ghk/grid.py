@@ -197,20 +197,25 @@ def lp_norm(f, p):
 
     ``p`` may be an int, float or Fraction; it must satisfy ``p >= 1``.
     """
+    return _lp_norm(f.values, f.cell_measure, p)
+
+
+def _lp_norm(values, cell_measure, p):
+    # lp_norm on bare cell values, for loops that keep arrays
     if p == math.inf:
-        return float(np.max(np.abs(f.values))) if f.values.size else 0.0
+        return float(np.max(np.abs(values))) if values.size else 0.0
     pf = float(p)
     if pf < 1.0:
         raise ValueError(f"lp_norm requires p >= 1, got {p}")
-    av = np.abs(f.values)
+    av = np.abs(values)
     if pf == 1.0:
         s = float(np.sum(av))
-        return f.cell_measure * s
+        return cell_measure * s
     if pf == 2.0:
         s = float(np.sum(av * av))
     else:
         s = float(np.sum(av ** pf))
-    return (f.cell_measure * s) ** (1.0 / pf)
+    return (cell_measure * s) ** (1.0 / pf)
 
 
 def inner(f, g):

@@ -7,7 +7,9 @@ Three independent evaluation routes are provided for ``||f||_U(k)``:
 ``gowers_norm_rec``
     The shift recursion ``||f||^(2^(k+1))_U(k+1) = w^d sum_h ||f^h f||^(2^k)_U(k)``
     down to an order-2 base evaluated from padded FFT autocorrelations
-    (padding ``M >= 2N`` per axis makes cyclic wraparound vanish).
+    (padding ``M >= 2N`` per axis makes cyclic wraparound vanish), on ``f``
+    rescaled by a power of two so that the power sums neither overflow nor
+    underflow.
 ``gowers_norm_spectral_u2``
     The order-2 identity ``||f||_U(2) = ||f_hat||_4`` on a transform padded to
     ``3N`` per axis, so no aliased vertex-shift offset re-enters the
@@ -19,12 +21,16 @@ so the discrete values coincide identically across algorithms.
 The recursion here and ``dual.dual_rec`` share one engine,
 ``_shift_product_sum``: every order and dimension is batched the same way,
 shift products that vanish are skipped, and the batches are sized from
-``budget.memory_budget()``.
+``budget.memory_budget()``. A dual pass pads each axis only as far as its
+output box needs (2N on the frame box) and returns the power sum with the
+field, so the ascent in ``antiuniform`` gets a norm and a dual field from one
+pass.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -32,7 +38,7 @@ from . import kernels
 from .budget import brute_gowers_work, check_work, memory_budget
 from .cubes import FunctionTuple
 from .exponents import exponent_triple
-from .grid import integral, lp_norm, fourier
+from .grid import lp_norm, fourier
 from .records import CheckRecord, safe_ratio
 
 #: Relative slack applied to inequality gates (float roundoff allowance).
@@ -92,33 +98,66 @@ def _shift_windows(rows, lo, shape):
     return np.ndarray(view, buffer=buf, strides=buf.strides + buf.strides[1:])
 
 
+def _order2_length(lo, hi, m):
+    # smallest even transform length at which no cyclic alias of the order-2
+    # base lands in [lo, hi): its offsets fill [-(m-1), 2m-1), so y + M must
+    # pass 2m-2 for y >= lo and y - M must fall below -(m-1) for y < hi
+    need = max(2 * m - 1 - lo, hi + m - 1)
+    return need + need % 2
+
+
 def _shift_product_sum(values, k, out_lo=None, out_shape=None):
     """Unweighted order-k shift recursion on the frame of ``values``.
 
     Each level peels one cube coordinate off a batch of rows: row ``g``
     becomes the ``(2N-1)^d`` products ``g . g^h``, ``h`` in ``[-(N-1), N-1]^d``
-    (every larger shift gives a zero product). Without an output box the
-    result is the power sum ``||f||_U(k)^(2^k) / w^((k+1)d)``, with the order-2
-    base the Parseval sum of ``|F|^4`` on a transform padded to 2N per axis.
-    With the box ``[out_lo, out_lo + out_shape)`` it is the dual field
-    ``D_k f / w^(kd)`` there: each row also carries a weight that every peel
-    multiplies by the outer factor ``g(y + h)``, and the order-2 base is the
-    cubic correlation ``ifft(F F conj F)`` padded to 3N per axis; the field
-    is zeroed off its order-k support. Rows whose product or weight vanishes
-    are dropped. A batch holds about ``memory_budget() / 64`` padded f64 elements
-    (the transform and its temporaries), and never less than one transform
-    row in the base or, in a peel, the products of one row at one value of
-    the first shift coordinate.
+    (every larger shift gives a zero product). The order-2 base transforms
+    each row once and sums ``|F|^4`` over the spectrum (Parseval): without an
+    output box the result is that power sum ``||f||_U(k)^(2^k) / w^((k+1)d)``,
+    on a transform padded to 2N per axis.
+
+    With the box ``[out_lo, out_lo + out_shape)`` the result is the pair
+    ``(field, power)``: the field is the dual field ``D_k f / w^(kd)`` there,
+    and ``power`` the same power sum as above, exact whenever the box
+    contains the frame. Each row also carries a weight on the box that every
+    peel multiplies by the outer factor ``g(y + h)``, and the base adds the
+    cubic correlation ``irfft(F |F|^2)``. The box is first clipped to the
+    field's order-k support, off which the field is exactly zero; a box that
+    misses it returns zeros without a transform. Each axis is then padded
+    only as far as the clipped box needs: 2N on the frame box, and on the
+    covering box about 3N at k=2, less at higher k, whose support is narrower.
+
+    Rows whose product or weight vanishes are dropped; in the dual mode a row
+    dropped for its weight has a zero product as well when the box contains
+    the frame, which keeps the power sum exact. A batch holds about
+    ``memory_budget() / 64`` padded f64 elements (the transform and its
+    temporaries), and never less than one transform row in the base or, in a
+    peel, the products of one row at one value of the first shift coordinate.
     """
     n = values.shape
     d = values.ndim
     axes = tuple(range(1, d + 1))
     expand = (slice(None),) + (None,) * d
     dual = out_shape is not None
-    padded = tuple((3 if dual else 2) * m for m in n)
+    if dual:
+        # the order-k support per axis is [-floor((N-1)/(k-1)),
+        # floor(k(N-1)/(k-1))]: with p_i = y + h_i in [0, N), the full-cube
+        # vertex reads y + sum h_i = sum p_i - (k-1) y
+        out = np.zeros(out_shape)
+        lo = tuple(max(l, -((m - 1) // (k - 1))) for l, m in zip(out_lo, n))
+        hi = tuple(
+            min(l + s, k * (m - 1) // (k - 1) + 1)
+            for l, s, m in zip(out_lo, out_shape, n)
+        )
+        if any(a >= b for a, b in zip(lo, hi)):
+            return out, 0.0
+        box = tuple(b - a for a, b in zip(lo, hi))
+        padded = tuple(_order2_length(a, b, m) for a, b, m in zip(lo, hi, n))
+    else:
+        padded = tuple(2 * m for m in n)
     limit = memory_budget() // 64
     base_rows = max(1, limit // math.prod(padded))
-    row_size = math.prod(n) + (math.prod(out_shape) if dual else 0)
+    row_size = math.prod(n) + (math.prod(box) if dual else 0)
     # a peel batch is rows times a slab of the first shift axis; the slab is
     # the whole axis unless the products of one row alone exceed the limit
     h0, rest = 2 * n[0] - 1, row_size * math.prod(2 * m - 1 for m in n[1:])
@@ -134,60 +173,89 @@ def _shift_product_sum(values, k, out_lo=None, out_shape=None):
                 yield g, w
                 continue
             windows = _shift_windows(g, (0,) * d, n)
-            outer = _shift_windows(g, out_lo, out_shape) if dual else None
+            outer = _shift_windows(g, lo, box) if dual else None
             for t in range(0, h0, slab):
                 prods = (windows[:, t : t + slab] * g[expand]).reshape((-1,) + n)
                 keep = prods.reshape(len(prods), -1).any(axis=1)
                 w_h = None
                 if dual:
                     w_h = outer[:, t : t + slab] * w[expand]
-                    w_h = w_h.reshape((-1,) + out_shape)
+                    w_h = w_h.reshape((-1,) + box)
                     keep &= w_h.reshape(len(w_h), -1).any(axis=1)
                 if not keep.all():
                     prods = prods[keep]
                     w_h = None if w_h is None else w_h[keep]
                 yield from batches(prods, w_h, order - 1)
 
-    if not dual:
-        wgt = np.full(padded[-1] // 2 + 1, 2.0)
-        wgt[0] = wgt[-1] = 1.0  # self-conjugate bins of the even last axis
-        total = 0.0
-        for g, _ in batches(values[None], None, k):
-            spec = np.fft.rfftn(g, s=padded, axes=axes)
-            a = spec.real * spec.real + spec.imag * spec.imag
-            total += float(np.sum((a * a) @ wgt))
-        return total / math.prod(padded)
-
-    gather = (slice(None),) + np.ix_(
-        *[np.arange(lo, lo + s) % p for lo, s, p in zip(out_lo, out_shape, padded)]
-    )
-    out = np.zeros(out_shape)
-    for g, w in batches(values[None], np.ones((1,) + out_shape), k):
+    wgt = np.full(padded[-1] // 2 + 1, 2.0)
+    wgt[0] = wgt[-1] = 1.0  # self-conjugate bins of the even last axis
+    total = 0.0
+    if dual:
+        field = out[tuple(slice(a - l, b - l) for a, b, l in zip(lo, hi, out_lo))]
+        if min(lo) >= 0:  # the box lies in [0, M): hi <= M by the padding
+            gather = (slice(None),) + tuple(slice(a, b) for a, b in zip(lo, hi))
+        else:
+            gather = (slice(None),) + np.ix_(
+                *[np.arange(a, b) % p for a, b, p in zip(lo, hi, padded)]
+            )
+    for g, w in batches(values[None], np.ones((1,) + box) if dual else None, k):
         spec = np.fft.rfftn(g, s=padded, axes=axes)
-        z = np.fft.irfftn(spec * spec * np.conj(spec), s=padded, axes=axes)
-        out += np.einsum("i...,i...->...", w, z[gather])
-    for a, (lo, m) in enumerate(zip(out_lo, n)):
-        # zero the cyclic aliases and roundoff off the order-k support
-        # [-floor((N-1)/(k-1)), floor(k(N-1)/(k-1))]: with p_i = y + h_i in
-        # [0, N), the full-cube vertex reads y + sum h_i = sum p_i - (k-1) y
-        s_lo, s_hi = -((m - 1) // (k - 1)), k * (m - 1) // (k - 1) + 1
-        out[(slice(None),) * a + (slice(0, max(0, s_lo - lo)),)] = 0.0
-        out[(slice(None),) * a + (slice(max(0, s_hi - lo), None),)] = 0.0
-    return out
+        a = spec.real * spec.real + spec.imag * spec.imag
+        total += float(np.sum((a * a) @ wgt))
+        if dual:
+            z = np.fft.irfftn(spec * a, s=padded, axes=axes)
+            field += np.einsum("i...,i...->...", w, z[gather])
+    power = total / math.prod(padded)
+    return (out, power) if dual else power
+
+
+def _unit_binade(values):
+    """``(values * 2**-e, e)``, the largest magnitude moved into [0.5, 1).
+
+    A power-of-two scale is exact, and the engine commutes with it bit for
+    bit, so the recursive routes evaluate on this copy and scale back.
+    """
+    e = math.frexp(float(np.abs(values).max()))[1]
+    return np.ldexp(values, -e), e
+
+
+def _check_pow2(top, e, what):
+    """Raise ``OverflowError`` unless ``top * 2**e`` is zero or a normal float64."""
+    if top and not (
+        math.isfinite(top)
+        and sys.float_info.min_exp <= math.frexp(top)[1] + e <= sys.float_info.max_exp
+    ):
+        raise OverflowError(
+            f"{what} has magnitude {top!r} * 2**{e}, outside the normal float64 range"
+        )
+
+
+def _norm_from_power(power, spacing, d, k, e):
+    """``||f||_U(k)`` from the engine's power sum of ``f * 2**-e``."""
+    # the recursion accumulates squares, so the power sum is nonnegative by
+    # construction and needs no clamp
+    unit = (power * spacing ** ((k + 1) * d)) ** (1.0 / (1 << k))
+    _check_pow2(unit, e, f"U({k}) norm")
+    return math.ldexp(unit, e)
 
 
 def gowers_norm_rec(f, k):
-    """Order-k uniformity norm by the fast shift recursion (FFT base at k=2)."""
+    """Order-k uniformity norm by the fast shift recursion (FFT base at k=2).
+
+    Evaluated on ``f`` rescaled by a power of two, so any norm that is a
+    normal float64 comes back finite and correctly scaled; one that is not
+    raises ``OverflowError``.
+    """
     k = int(k)
     if k < 1:
         raise ValueError(f"gowers_norm_rec requires k >= 1, got {k}")
+    values, e = _unit_binade(f.values)
     if k == 1:
-        return abs(integral(f))
-    # the recursion accumulates squares, so the power sum is nonnegative by
-    # construction and needs no clamp
-    raw = _shift_product_sum(np.asarray(f.values), k)
-    value_pow = raw * f.spacing ** ((k + 1) * f.dim)
-    return value_pow ** (1.0 / (1 << k))
+        # |integral(f)|, summed on the rescaled values
+        unit = abs(f.cell_measure * float(np.sum(values)))
+        _check_pow2(unit, e, "U(1) norm")
+        return math.ldexp(unit, e)
+    return _norm_from_power(_shift_product_sum(values, k), f.spacing, f.dim, k, e)
 
 
 def gowers_norm_spectral_u2(f):

@@ -254,3 +254,48 @@ class TestPairingBound:
                 fn = scale(f, 1.0 / gowers_norm_rec(f, k))
                 hn = scale(h, 1.0 / gowers_norm_rec(h, k))
                 assert inner(dual_rec(fn, k), hn) <= 1 + 1e-9
+
+
+class TestEngineCalls:
+    """Each seed and each trial step of the ascent costs one engine pass."""
+
+    @staticmethod
+    def count(monkeypatch):
+        from ghk import antiuniform, dual, norms
+
+        calls = {"engine": 0, "objective": 0}
+        engine = norms._shift_product_sum
+
+        def counting_engine(*args, **kwargs):
+            calls["engine"] += 1
+            return engine(*args, **kwargs)
+
+        monkeypatch.setattr(norms, "_shift_product_sum", counting_engine)
+        monkeypatch.setattr(dual, "_shift_product_sum", counting_engine)
+        # the ascent evaluates the ball norm once per seed and once per trial
+        for ball in (antiuniform._UniformityBall, antiuniform._BlendBall):
+            norm_from = ball.norm_from
+
+            def counting_norm(self, fv, u, norm_from=norm_from):
+                calls["objective"] += 1
+                return norm_from(self, fv, u)
+
+            monkeypatch.setattr(ball, "norm_from", counting_norm)
+        return calls
+
+    @pytest.mark.parametrize("family", ["random-nonneg", "tent", "indicator-box"])
+    def test_dual_norm_lower(self, monkeypatch, family):
+        calls = self.count(monkeypatch)
+        g = random_function(family, 2, 6, 0.125, 3)
+        est = dual_norm_lower(g, 2)
+        assert est.iterations > 0
+        assert calls["engine"] == calls["objective"]
+
+    @pytest.mark.parametrize("family", ["random-nonneg", "tent", "indicator-box"])
+    def test_decompose(self, monkeypatch, family):
+        calls = self.count(monkeypatch)
+        g = random_function(family, 1, 12, 0.125, 4)
+        res = decompose(g, 3, 0.25)
+        assert res.iterations > 0
+        # plus one pass for the norm and the dual field of F
+        assert calls["engine"] == calls["objective"] + 1

@@ -181,6 +181,48 @@ class TestDualRec:
         assert_rec_matches_brute(f, k, out_box="full")
         assert len(small_batches) > 1
 
+    # the padding follows the output box, clipped to the support: boxes along
+    # the last axis that cross the left support edge, lie wholly left of the
+    # support, cross the frame box's padded length 2N, lie right of the
+    # support, and lie far away
+    BOXES = {
+        "left-edge": lambda n: (-n - 1, 1),
+        "left": lambda n: (-n - 2, -n + 1),
+        "straddle": lambda n: (n - 1, 2 * n + 1),
+        "right": lambda n: (2 * n - 1, 2 * n + 2),
+        "far": lambda n: (50 * n, 50 * n + 3),
+    }
+
+    @staticmethod
+    def last_axis_box(n, d, where):
+        a, b = TestDualRec.BOXES[where](n)
+        return (0,) * (d - 1) + (a,), (n,) * (d - 1) + (b,)
+
+    @pytest.mark.parametrize("where", sorted(BOXES))
+    @pytest.mark.parametrize(
+        "d, k, n", [(1, 2, 6), (1, 3, 5), (1, 4, 4), (2, 2, 3), (2, 3, 2), (3, 2, 2)]
+    )
+    def test_boxes_around_support(self, d, k, n, where):
+        f = rand_grid(16, n=n, d=d, signed=True)
+        r = assert_rec_matches_brute(f, k, self.last_axis_box(n, d, where))
+        if where in ("left-edge", "straddle"):
+            assert r.values.any() and not r.values.all()
+
+    @pytest.mark.parametrize("where", ["left-edge", "straddle"])
+    @pytest.mark.parametrize("d, k, n", [(1, 3, 6), (2, 3, 2)])
+    def test_boxes_around_support_split(self, small_batches, d, k, n, where):
+        f = rand_grid(17, n=n, d=d, signed=True)
+        assert_rec_matches_brute(f, k, self.last_axis_box(n, d, where))
+        assert len(small_batches) > 1
+
+    @pytest.mark.parametrize("k, d", [(2, 1), (3, 2), (4, 3)])
+    def test_far_box_takes_no_transform(self, small_batches, k, d):
+        f = rand_grid(18, n=3, d=d)
+        r = dual_rec(f, k, out_box=self.last_axis_box(3, d, "far"))
+        assert r.extents == (3,) * (d - 1) + (3,)
+        assert not r.values.any()
+        assert small_batches == []
+
     def test_zero(self):
         assert not dual_rec(from_values(np.zeros(5), 1.0), 2).values.any()
 

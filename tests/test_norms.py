@@ -7,6 +7,7 @@ from ghk import (
     BudgetExceededError,
     FunctionTuple,
     csg_gap,
+    dual_rec,
     from_values,
     gowers_inner,
     gowers_norm,
@@ -18,6 +19,7 @@ from ghk import (
     scale,
     shift,
 )
+from ghk.dual import _norm_and_dual
 from ghk.exponents import exponent_triple
 from ghk.families import random_function
 from ghk.norms import _clamp_power
@@ -159,6 +161,78 @@ class TestRecursive:
             for k in (2, 3):
                 p = exponent_triple(k).p_float
                 assert gowers_norm_rec(f, k) <= lp_norm(f, p) * (1 + 1e-9)
+
+
+class TestScaleSafeRec:
+    """The rec routes evaluate on f / 2^e with 2^e near max|f| and scale back."""
+
+    @staticmethod
+    def indicator(t):
+        # the indicator of [0, 4) on a frame of 8 cells, times t
+        return from_values(np.where(np.arange(8) < 4, t, 0.0), 0.25)
+
+    @pytest.mark.parametrize("t", [1e40, 1e-45, 1e200, 1e-200])
+    def test_norm_scales_with_input(self, t):
+        want = t * gowers_norm_rec(self.indicator(1.0), 3)
+        assert gowers_norm_rec(self.indicator(t), 3) == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("t", [1e200, 1e-45])
+    def test_unrepresentable_dual_raises_overflow(self, t):
+        # t^7 lies past the normal float64 range at both ends
+        with pytest.raises(OverflowError, match="outside the normal float64 range") as err:
+            dual_rec(self.indicator(t), 3)
+        assert "kernel" not in str(err.value)
+        with pytest.raises(OverflowError):
+            _norm_and_dual(self.indicator(t).values, 0.25, 3)
+
+    def test_dual_scales_with_input(self):
+        base = dual_rec(self.indicator(1.0), 3).values
+        got = dual_rec(self.indicator(1e40), 3).values
+        # cells that vanish carry FFT roundoff relative to the largest cell
+        np.testing.assert_allclose(got, base * 1e280, rtol=1e-14, atol=1e-14 * got.max())
+
+    def test_order_one_sums_rescaled_values(self):
+        # the plain cell sum overflows to inf; the integral is 5e307
+        f = from_values(np.full(4, 1e308), 0.125)
+        assert gowers_norm_rec(f, 1) == pytest.approx(5e307, rel=1e-15)
+        with pytest.raises(OverflowError):
+            gowers_norm_rec(from_values(np.full(4, 1e308), 1.0), 1)
+
+    def test_unrepresentable_norm_raises_overflow(self):
+        # the norm of 1e300 on cells of width 1e20 is about 1e315
+        f = from_values(np.full(4, 1e300), 1e20)
+        with pytest.raises(OverflowError, match="U\\(2\\) norm"):
+            gowers_norm_rec(f, 2)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("j", [-60, -1, 3, 50])
+    def test_power_of_two_homogeneity_is_exact(self, k, j):
+        f = rand_grid(21, n=5, signed=True)
+        t = 2.0 ** j
+        assert gowers_norm_rec(scale(f, t), k) == t * gowers_norm_rec(f, k)
+        got = dual_rec(scale(f, t), k).values
+        want = np.ldexp(dual_rec(f, k).values, j * ((1 << k) - 1))
+        assert np.array_equal(got, want)
+
+
+class TestFusedPowerSum:
+    """The dual pass also returns the power sum from its base spectra."""
+
+    @pytest.mark.parametrize(
+        "d, k, n", [(1, 2, 8), (1, 3, 6), (1, 4, 4), (2, 2, 4), (2, 3, 3), (3, 2, 3)]
+    )
+    @pytest.mark.parametrize("family", ["random-signed", "random-nonneg", "indicator-box"])
+    def test_matches_norm_only_pass(self, d, k, n, family):
+        f = random_function(family, d, n, 0.25, 5)
+        u, field = _norm_and_dual(f.values, f.spacing, k)
+        assert u == pytest.approx(gowers_norm_rec(f, k), rel=1e-14)
+        assert np.array_equal(field, dual_rec(f, k).values)
+
+    def test_split_batches(self, small_batches):
+        f = rand_grid(22, n=4, d=2, signed=True)
+        u, _ = _norm_and_dual(f.values, f.spacing, 3)
+        assert len(small_batches) > 1
+        assert u == pytest.approx(gowers_norm_brute(f, 3), rel=1e-12)
 
 
 class TestSpectral:
