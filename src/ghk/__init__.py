@@ -23,7 +23,6 @@ from .cubes import FunctionTuple, VertexSet
 from .dual import (
     continuity_modulus,
     dual_brute,
-    dual_field,
     dual_rec,
     fourier_bound_gap,
     lemma1_gap,
@@ -76,7 +75,6 @@ __all__ = [
     "csg_gap",
     "decompose",
     "dual_brute",
-    "dual_field",
     "dual_norm_lower",
     "dual_rec",
     "exponent_triple",

@@ -47,6 +47,11 @@ from .exponents import exponent_triple
 from .grid import GridFunction, _lp_norm, common_frame, embed, inner, lp_norm, scale
 from .norms import gowers_norm_rec
 
+#: First trial step of the ascent, and the cap on every later first step.
+STEP_INIT = 1.0
+#: Factor that shrinks a rejected trial step.
+BACKTRACK = 0.5
+
 
 @dataclass(frozen=True)
 class AscentOptions:
@@ -54,16 +59,12 @@ class AscentOptions:
 
     max_iters: int = 500
     rel_tol: float = 1e-8
-    step_init: float = 1.0
-    backtrack: float = 0.5
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
-        if self.rel_tol <= 0 or self.step_init <= 0:
-            raise ValueError("rel_tol and step_init must be positive")
-        if not (0.0 < self.backtrack < 1.0):
-            raise ValueError("backtrack must lie in (0, 1)")
+        if self.rel_tol <= 0:
+            raise ValueError("rel_tol must be positive")
 
 
 @dataclass
@@ -225,7 +226,7 @@ def _ascend(g, k, ball, opts, candidates):
     f, val, u_f, dual_f = best
     resid = ball.residual_from(gv, f, val, dual_f) if ball.gated else None
     history = [(val, resid, u_f)]
-    step = opts.step_init
+    step = STEP_INIT
     iterations = 0
     converged = False
     for _ in range(opts.max_iters):
@@ -234,7 +235,7 @@ def _ascend(g, k, ball, opts, candidates):
             raise ArithmeticError("non-finite ascent gradient (upstream bug)")
         accepted = False
         s = step
-        while s > 1e-16 * opts.step_init:
+        while s > 1e-16 * STEP_INIT:
             trial = _require_finite(f + s * grad)
             u, dual = _norm_and_dual(trial, w, ball.k)
             nrm = ball.norm_from(trial, u)
@@ -246,7 +247,7 @@ def _ascend(g, k, ball, opts, candidates):
                     if ball.gated:
                         resid_try = ball.residual_from(gv, f_try, val_try, dual_try)
                         if resid_try > resid * (1.0 + 1e-12):
-                            s *= opts.backtrack
+                            s *= BACKTRACK
                             continue
                         resid = resid_try
                     f = f_try
@@ -256,13 +257,13 @@ def _ascend(g, k, ball, opts, candidates):
                     dual_f = dual_try
                     accepted = True
                     break
-            s *= opts.backtrack
+            s *= BACKTRACK
         if not accepted:
             converged = True
             break
         iterations += 1
         history.append((val, resid, u_f))
-        step = min(s / opts.backtrack, opts.step_init)
+        step = min(s / BACKTRACK, STEP_INIT)
         if val - prev <= opts.rel_tol * abs(val):
             converged = True
             break

@@ -7,7 +7,9 @@ cross-checked during the run.
 
 Work counts follow the documented visit model: brute order-k norms cost
 ``N^d (2N-1)^(kd)`` visits, the recursion ``(2N-1)^d`` transform passes of
-length ``2N`` per axis, and transforms are modeled at ``M^d log2(M^d)``.
+length ``2N`` per axis (the order-3 norm and the order-3 dual field on the
+frame box alike), and transforms are modeled at ``M^d log2(M^d)``. The
+cross-check tolerances are ``records.ORACLE_TOL`` and ``records.SPECTRAL_TOL``.
 """
 
 from __future__ import annotations
@@ -19,12 +21,13 @@ import time
 
 import numpy as np
 
-from .budget import brute_dual_work, brute_gowers_work, fft_work, rec_gowers_work, spectral_work
+from .budget import brute_dual_work, brute_gowers_work, rec_gowers_work, spectral_work
 from .cubes import FunctionTuple
 from .dual import dual_brute, dual_rec
 from .families import random_function
 from .grid import GridFunction
 from .norms import gowers_norm_brute, gowers_norm_rec, gowers_norm_spectral_u2
+from .records import ORACLE_TOL, SPECTRAL_TOL
 
 CSV_HEADER = ("kernel", "impl", "N", "d", "median_ms", "work_count")
 
@@ -61,7 +64,7 @@ def _kernel_table():
         },
         "d3-rec": {
             "run": lambda f: dual_rec(f, 3),
-            "work": lambda n, d: (2 * n - 1) ** d * fft_work((3 * n,) * d),
+            "work": lambda n, d: rec_gowers_work((n,) * d, 3),
             "value_group": "d3",
             "reference": lambda f: dual_brute(
                 FunctionTuple.constant(f, 3, punctured=True)
@@ -72,8 +75,8 @@ def _kernel_table():
 
 KERNELS = tuple(_kernel_table())
 
-#: cross-check tolerances per value group (relative)
-_GROUP_TOL = {"u2": 1e-8, "u3": 1e-9, "d2": 1e-9, "d3": 1e-9}
+#: cross-check tolerances per value group, relative to max(1, reference)
+_GROUP_TOL = {"u2": SPECTRAL_TOL, "u3": ORACLE_TOL, "d2": ORACLE_TOL, "d3": ORACLE_TOL}
 
 
 def _as_scalar(result):
@@ -103,12 +106,11 @@ def bench(kernel_names, sizes, reps=5, d=1, seed=DEFAULT_SEED):
             spec = table[name]
             spec["run"](f)  # warm-up: FFT plan and allocator caches
             samples = []
-            value = None
             for _ in range(max(1, int(reps))):
                 t0 = time.perf_counter()
                 out = spec["run"](f)
                 samples.append(1e3 * (time.perf_counter() - t0))
-                value = _as_scalar(out)
+            value = _as_scalar(out)
             group = spec["value_group"]
             tol = _GROUP_TOL[group]
             if group in group_values:
@@ -121,12 +123,9 @@ def bench(kernel_names, sizes, reps=5, d=1, seed=DEFAULT_SEED):
             else:
                 group_values[group] = value
             if "reference" in spec:
-                ref_out = spec["reference"](f)
-                got = spec["run"](f)
-                ref_vals = ref_out.values if isinstance(ref_out, GridFunction) else ref_out
-                got_vals = got.values if isinstance(got, GridFunction) else got
-                scale_ref = max(1.0, float(np.max(np.abs(ref_vals))))
-                if float(np.max(np.abs(got_vals - ref_vals))) > tol * scale_ref:
+                ref = spec["reference"](f).values
+                scale_ref = max(1.0, float(np.max(np.abs(ref))))
+                if float(np.max(np.abs(out.values - ref))) > tol * scale_ref:
                     raise ArithmeticError(
                         f"bench reference check failed for {name} at N={n}"
                     )

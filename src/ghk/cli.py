@@ -37,23 +37,13 @@ from .suite import run_check, run_suite
 
 
 def _ascent_opts(args):
-    kwargs = {}
-    if getattr(args, "max_iters", None) is not None:
-        kwargs["max_iters"] = args.max_iters
-    if getattr(args, "rel_tol", None) is not None:
-        kwargs["rel_tol"] = args.rel_tol
-    if getattr(args, "step_init", None) is not None:
-        kwargs["step_init"] = args.step_init
-    if getattr(args, "backtrack", None) is not None:
-        kwargs["backtrack"] = args.backtrack
-    return AscentOptions(**kwargs)
+    given = {n: getattr(args, n) for n in ("max_iters", "rel_tol")}
+    return AscentOptions(**{n: v for n, v in given.items() if v is not None})
 
 
 def _add_ascent_flags(sub):
     sub.add_argument("--max-iters", type=int, default=None)
     sub.add_argument("--rel-tol", type=float, default=None)
-    sub.add_argument("--step-init", type=float, default=None)
-    sub.add_argument("--backtrack", type=float, default=None)
 
 
 def _print(doc, as_json):
@@ -126,33 +116,33 @@ def _cmd_dual(args):
     return 0
 
 
+#: ``ghk check`` names: (library check, punctured tuples it takes; 0 for one
+#: full tuple)
+_CHECKS = {
+    "csg": (csg_gap, 0),
+    "lemma1": (lemma1_gap, 1),
+    "continuity": (continuity_modulus, 1),
+    "product-identity": (product_identity_gap, 2),
+    "product-bound": (product_bound_gap, 2),
+    "fourier-bound": (fourier_bound_gap, 1),
+}
+
+
 def _cmd_check(args):
     name = args.name
-    if name == "csg":
-        fs = _tuple_from_files(args.inputs, args.k, punctured=False)
-        fn, fargs = csg_gap, (fs,)
-    elif name == "lemma1":
-        fs = _tuple_from_files(args.inputs, args.k, punctured=True)
-        fn, fargs = lemma1_gap, (fs,)
-    elif name == "continuity":
-        fs = _tuple_from_files(args.inputs, args.k, punctured=True)
-        if args.shift is None:
-            raise ValueError("continuity needs --shift (comma-separated integers)")
-        v = tuple(int(c) for c in args.shift.split(","))
-        fn, fargs = continuity_modulus, (fs, v)
-    elif name == "fourier-bound":
-        fs = _tuple_from_files(args.inputs, args.k, punctured=True)
-        fn, fargs = fourier_bound_gap, (fs,)
-    elif name in {"product-identity", "product-bound"}:
+    fn, tuples = _CHECKS[name]
+    if tuples == 2:
         m = (1 << args.k) - 1
         if len(args.inputs) != 2 * m:
             raise ValueError(f"need {2 * m} grids (two punctured tuples) for {name}")
-        fs1 = _tuple_from_files(args.inputs[:m], args.k, punctured=True)
-        fs2 = _tuple_from_files(args.inputs[m:], args.k, punctured=True)
-        fn = product_identity_gap if name == "product-identity" else product_bound_gap
-        fargs = (fs1, fs2)
+        halves = (args.inputs[:m], args.inputs[m:])
+        fargs = [_tuple_from_files(half, args.k, punctured=True) for half in halves]
     else:
-        raise ValueError(f"unknown check {name!r}")
+        fargs = [_tuple_from_files(args.inputs, args.k, punctured=tuples == 1)]
+    if name == "continuity":
+        if args.shift is None:
+            raise ValueError("continuity needs --shift (comma-separated integers)")
+        fargs.append(tuple(int(c) for c in args.shift.split(",")))
     t0 = time.perf_counter()
     record = fn(*fargs, work_budget=args.budget)
     record.runtime_ms = 1e3 * (time.perf_counter() - t0)
@@ -282,17 +272,7 @@ def build_parser():
     p.set_defaults(fn=_cmd_dual)
 
     p = subs.add_parser("check", help="run one inequality check, emit the record")
-    p.add_argument(
-        "name",
-        choices=(
-            "csg",
-            "lemma1",
-            "continuity",
-            "product-identity",
-            "product-bound",
-            "fourier-bound",
-        ),
-    )
+    p.add_argument("name", choices=tuple(_CHECKS))
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--in", dest="inputs", action="append", required=True)
     p.add_argument("--shift", default=None, help="lattice offset for continuity")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .grid import common_frame
+from .grid import common_frame, union_box
 
 
 @dataclass(frozen=True)
@@ -84,6 +84,12 @@ class FunctionTuple:
 
     def __iter__(self):
         return iter(self.functions)
+
+    @property
+    def extent(self):
+        """The largest per-axis extent of the members' common box."""
+        lo, hi = union_box([f.box for f in self.functions])
+        return max(h - l for l, h in zip(lo, hi))
 
     def stacked(self):
         """``(lo, hi, stack)``: members embedded into the common box, in vertex order."""

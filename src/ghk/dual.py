@@ -19,6 +19,8 @@ output box to the field's order-k support and pads each axis only as far as
 the clipped box needs: 2N on the frame box, at most about 3N on the covering
 box.
 ``_norm_and_dual`` takes the norm and the field on the frame from one pass.
+``dual_brute`` evaluates on each row rescaled by a power of two, as the
+recursive route does.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .exponents import exponent_triple
 from .grid import (
     GridFunction,
     add,
+    common_frame,
     fourier,
     intersection_box,
     lp_norm,
@@ -40,16 +43,13 @@ from .grid import (
     shift,
 )
 from .norms import (
-    INEQ_SLACK,
     _check_pow2,
     _norm_from_power,
     _shift_product_sum,
     _unit_binade,
+    _unit_rows,
 )
-from .records import CheckRecord, safe_ratio
-
-IDENTITY_TOL = 1e-9
-FOURIER_SLACK = 1e-8
+from .records import FOURIER_SLACK, IDENTITY_TOL, INEQ_SLACK, check_record, instance_params
 
 
 def _require_punctured(fs, who):
@@ -57,6 +57,15 @@ def _require_punctured(fs, who):
         raise TypeError(f"{who} expects a FunctionTuple over the punctured cube")
     if not fs.vertex_set.punctured:
         raise ValueError(f"{who} needs the punctured vertex set (no zero vertex)")
+
+
+def _require_pair(fs1, fs2, who):
+    # two punctured tuples of one cube order; returns that order
+    _require_punctured(fs1, who)
+    _require_punctured(fs2, who)
+    if fs1.k != fs2.k:
+        raise ValueError("tuples must share the cube order k")
+    return fs1.k
 
 
 def _resolve_out_box(frame_lo, frame_hi, out_box):
@@ -85,17 +94,16 @@ def dual_brute(fs, out_box=None, work_budget=None):
     rel_lo, out_shape = _resolve_out_box(lo, hi, out_box)
     extents = tuple(h - l for l, h in zip(lo, hi))
     check_work(brute_dual_work(extents, fs.k, out_shape), work_budget)
-    raw = kernels.dual_field_sum(stack, fs.k, rel_lo, out_shape)
-    values = raw * fs.spacing ** (fs.k * fs.dim)
+    rows, e = _unit_rows(stack)
+    raw = kernels.dual_field_sum(rows, fs.k, rel_lo, out_shape)
     origin = tuple(fl + rl for fl, rl in zip(lo, rel_lo))
-    return GridFunction(values, fs.spacing, origin)
+    return GridFunction(_field_from(raw, fs.spacing, fs.k, e), fs.spacing, origin)
 
 
 def _field_from(raw, spacing, k, e):
-    """``D_k f`` from the engine's field of ``f * 2**-e``: ``D_k`` is
-    homogeneous of degree ``2^k - 1``."""
+    """The dual field from a raw one whose factors were rescaled by ``2**-e``
+    in all (one factor per row, so ``e`` sums the rows' exponents)."""
     field = raw * spacing ** (k * raw.ndim)
-    e *= (1 << k) - 1
     _check_pow2(float(np.abs(field).max()), e, f"order-{k} dual field")
     return np.ldexp(field, e)
 
@@ -117,7 +125,9 @@ def dual_rec(f, k, out_box=None):
     values, e = _unit_binade(f.values)
     raw, _ = _shift_product_sum(values, k, rel_lo, out_shape)
     origin = tuple(fl + rl for fl, rl in zip(lo, rel_lo))
-    return GridFunction(_field_from(raw, f.spacing, k, e), f.spacing, origin)
+    # D_k is homogeneous of degree 2^k - 1
+    field = _field_from(raw, f.spacing, k, e * ((1 << k) - 1))
+    return GridFunction(field, f.spacing, origin)
 
 
 def _norm_and_dual(values, spacing, k):
@@ -131,38 +141,14 @@ def _norm_and_dual(values, spacing, k):
     scaled, e = _unit_binade(values)
     raw, power = _shift_product_sum(scaled, k, (0,) * scaled.ndim, scaled.shape)
     return (
-        _norm_from_power(power, spacing, scaled.ndim, k, e),
-        _field_from(raw, spacing, k, e),
+        _norm_from_power(power * spacing ** ((k + 1) * scaled.ndim), k, e),
+        _field_from(raw, spacing, k, e * ((1 << k) - 1)),
     )
-
-
-def dual_field(fs_or_f, k=None, algo="brute", out_box=None, work_budget=None):
-    """Dispatch helper: tuple -> brute; single function -> brute or rec."""
-    if isinstance(fs_or_f, FunctionTuple):
-        if algo == "rec":
-            raise ValueError("the recursive route applies to all-equal tuples only")
-        return dual_brute(fs_or_f, out_box, work_budget)
-    if k is None:
-        raise ValueError("k is required for a single-function dual field")
-    if algo == "rec":
-        return dual_rec(fs_or_f, k, out_box)
-    fs = FunctionTuple.constant(fs_or_f, k, punctured=True)
-    return dual_brute(fs, out_box, work_budget)
 
 
 # ---------------------------------------------------------------------------
 # inequality and identity checks
 # ---------------------------------------------------------------------------
-
-
-def _tuple_params(fs):
-    lo, hi, _ = fs.stacked()
-    return {
-        "k": fs.k,
-        "d": fs.dim,
-        "N": max(h - l for l, h in zip(lo, hi)),
-        "w": fs.spacing,
-    }
 
 
 def lemma1_gap(fs, work_budget=None):
@@ -174,15 +160,9 @@ def lemma1_gap(fs, work_budget=None):
     lhs = float(np.max(field.values)) if nonneg else float(np.max(np.abs(field.values)))
     lhs = max(lhs, 0.0)
     rhs = float(np.prod([lp_norm(g, trip.q_float) for g in fs]))
-    passed = lhs <= rhs * (1.0 + INEQ_SLACK) if nonneg else None
-    return CheckRecord(
-        name="eq2.1-lemma1",
-        lhs=lhs,
-        rhs=rhs,
-        ratio=safe_ratio(lhs, rhs),
-        passed=passed,
-        params=_tuple_params(fs),
-    )
+    passed = lhs <= rhs * (1.0 + INEQ_SLACK)
+    params = instance_params(fs.k, fs.dim, fs.extent, fs.spacing)
+    return check_record("eq2.1-lemma1", lhs, rhs, passed, params, signed=not nonneg)
 
 
 def continuity_modulus(fs, v, work_budget=None):
@@ -208,17 +188,10 @@ def continuity_modulus(fs, v, work_budget=None):
             if j != i:
                 prod *= q
         rhs += prod
-    passed = lhs <= rhs * (1.0 + INEQ_SLACK) if fs.is_nonnegative() else None
-    params = _tuple_params(fs)
-    params["v"] = list(v)
-    return CheckRecord(
-        name="eq5.2-continuity",
-        lhs=lhs,
-        rhs=rhs,
-        ratio=safe_ratio(lhs, rhs),
-        passed=passed,
-        params=params,
-    )
+    params = instance_params(fs.k, fs.dim, fs.extent, fs.spacing, v=list(v))
+    passed = lhs <= rhs * (1.0 + INEQ_SLACK)
+    signed = not fs.is_nonnegative()
+    return check_record("eq5.2-continuity", lhs, rhs, passed, params, signed=signed)
 
 
 def product_identity_gap(fs1, fs2, work_budget=None):
@@ -228,57 +201,32 @@ def product_identity_gap(fs1, fs2, work_budget=None):
     the identity, so the two routes are independent. Work grows with the
     (2k)-fold shift space: smallest instances only.
     """
-    _require_punctured(fs1, "product_identity_gap")
-    _require_punctured(fs2, "product_identity_gap")
-    if fs1.k != fs2.k:
-        raise ValueError("tuples must share the cube order k")
-    k = fs1.k
+    k = _require_pair(fs1, fs2, "product_identity_gap")
     g1 = dual_brute(fs1, work_budget=work_budget)
     g2 = dual_brute(fs2, work_budget=work_budget)
     lhs_field = pointwise_mul(g1, g2)
     box = intersection_box([g1.box, g2.box])
     if box is None:
         lhs = rhs_scale = 0.0
-        diff = 0.0
     else:
-        lo, hi, stacks = _joint_frames(fs1, fs2)
+        lo, hi, stack = common_frame(list(fs1) + list(fs2))
+        m = len(fs1.functions)
         rel_lo = tuple(b - fl for b, fl in zip(box[0], lo))
         out_shape = tuple(h - l for l, h in zip(*box))
         extents = tuple(h - l for l, h in zip(lo, hi))
-        check_work(
-            brute_dual_work(extents, 2 * k, out_shape), work_budget
-        )
-        raw = kernels.dual_pair_field_sum(stacks[0], stacks[1], k, rel_lo, out_shape)
+        check_work(brute_dual_work(extents, 2 * k, out_shape), work_budget)
+        raw = kernels.dual_pair_field_sum(stack[:m], stack[m:], k, rel_lo, out_shape)
         rhs_field = raw * fs1.spacing ** (2 * k * fs1.dim)
-        diff = float(np.max(np.abs(lhs_field.values - rhs_field)))
+        lhs = float(np.max(np.abs(lhs_field.values - rhs_field)))
         rhs_scale = float(np.max(np.abs(lhs_field.values)))
-        lhs = diff
-    record = CheckRecord(
-        name="eq5.4-product-identity",
-        lhs=lhs,
-        rhs=rhs_scale,
-        ratio=safe_ratio(lhs, rhs_scale),
-        passed=(lhs <= IDENTITY_TOL * max(rhs_scale, 1e-300)) or (lhs == 0.0),
-        params=_tuple_params(fs1),
-    )
-    return record
-
-
-def _joint_frames(fs1, fs2):
-    from .grid import common_frame
-
-    lo, hi, stack = common_frame(list(fs1) + list(fs2))
-    m = len(fs1.functions)
-    return lo, hi, (np.ascontiguousarray(stack[:m]), np.ascontiguousarray(stack[m:]))
+    passed = (lhs <= IDENTITY_TOL * max(rhs_scale, 1e-300)) or (lhs == 0.0)
+    params = instance_params(k, fs1.dim, fs1.extent, fs1.spacing)
+    return check_record("eq5.4-product-identity", lhs, rhs_scale, passed, params)
 
 
 def product_bound_gap(fs1, fs2, work_budget=None):
     """Sup bound for the product of two dual fields by the q_k norm products."""
-    _require_punctured(fs1, "product_bound_gap")
-    _require_punctured(fs2, "product_bound_gap")
-    if fs1.k != fs2.k:
-        raise ValueError("tuples must share the cube order k")
-    trip = exponent_triple(fs1.k)
+    trip = exponent_triple(_require_pair(fs1, fs2, "product_bound_gap"))
     g1 = dual_brute(fs1, out_box="full", work_budget=work_budget)
     g2 = dual_brute(fs2, out_box="full", work_budget=work_budget)
     prod = pointwise_mul(g1, g2)
@@ -288,15 +236,9 @@ def product_bound_gap(fs1, fs2, work_budget=None):
         * np.prod([lp_norm(g, trip.q_float) for g in fs2])
     )
     nonneg = fs1.is_nonnegative() and fs2.is_nonnegative()
-    passed = lhs <= rhs * (1.0 + INEQ_SLACK) if nonneg else None
-    return CheckRecord(
-        name="eq5.6-product-bound",
-        lhs=lhs,
-        rhs=rhs,
-        ratio=safe_ratio(lhs, rhs),
-        passed=passed,
-        params=_tuple_params(fs1),
-    )
+    passed = lhs <= rhs * (1.0 + INEQ_SLACK)
+    params = instance_params(fs1.k, fs1.dim, fs1.extent, fs1.spacing)
+    return check_record("eq5.6-product-bound", lhs, rhs, passed, params, signed=not nonneg)
 
 
 def fourier_bound_gap(fs, work_budget=None):
@@ -314,12 +256,7 @@ def fourier_bound_gap(fs, work_budget=None):
     spec = fourier(g, tuple(2 * n for n in g.extents))
     lhs = spec.lp_norm(trip.p_float)
     rhs = float(np.prod([lp_norm(f, trip.p_float) for f in fs]))
-    passed = lhs <= rhs * (1.0 + FOURIER_SLACK) if fs.is_nonnegative() else None
-    return CheckRecord(
-        name="eq5.7-fourier",
-        lhs=lhs,
-        rhs=rhs,
-        ratio=safe_ratio(lhs, rhs),
-        passed=passed,
-        params=_tuple_params(fs),
-    )
+    passed = lhs <= rhs * (1.0 + FOURIER_SLACK)
+    params = instance_params(fs.k, fs.dim, fs.extent, fs.spacing)
+    signed = not fs.is_nonnegative()
+    return check_record("eq5.7-fourier", lhs, rhs, passed, params, signed=signed)

@@ -323,14 +323,7 @@ class Spectrum:
 
     def lp_norm(self, p):
         """Dual-lattice L^p norm with frequency cell weighting."""
-        if p == math.inf:
-            return float(np.max(np.abs(self.values)))
-        pf = float(p)
-        if pf < 1.0:
-            raise ValueError(f"lp_norm requires p >= 1, got {p}")
-        mags = np.abs(self.values)
-        s = float(np.sum(mags ** pf))
-        return (self.frequency_cell_measure * s) ** (1.0 / pf)
+        return _lp_norm(np.abs(self.values), self.frequency_cell_measure, p)
 
 
 def fourier(f, padded_len):

@@ -16,7 +16,10 @@ Three independent evaluation routes are provided for ``||f||_U(k)``:
     support.
 
 All three agree to float roundoff: for whole-cell shifts the x-sums are exact,
-so the discrete values coincide identically across algorithms.
+so the discrete values coincide identically across algorithms. Each route,
+and ``gowers_inner``, evaluates on its rows rescaled by powers of two
+(``_unit_binade``) and scales the result back exactly, or raises
+``OverflowError`` when it is not a normal float64.
 
 The recursion here and ``dual.dual_rec`` share one engine,
 ``_shift_product_sum``: every order and dimension is batched the same way,
@@ -38,11 +41,8 @@ from . import kernels
 from .budget import brute_gowers_work, check_work, memory_budget
 from .cubes import FunctionTuple
 from .exponents import exponent_triple
-from .grid import lp_norm, fourier
-from .records import CheckRecord, safe_ratio
-
-#: Relative slack applied to inequality gates (float roundoff allowance).
-INEQ_SLACK = 1e-9
+from .grid import GridFunction, fourier, lp_norm
+from .records import INEQ_SLACK, check_record, instance_params
 
 #: Clamp threshold for negative power-sum accumulations (relative to the
 #: absolute-product mass); anything more negative signals a kernel bug.
@@ -72,11 +72,12 @@ def gowers_norm_brute(f, k, work_budget=None):
     if k < 1:
         raise ValueError(f"gowers_norm_brute requires k >= 1, got {k}")
     check_work(brute_gowers_work(f.extents, k), work_budget)
-    stack = np.broadcast_to(f.values, (1 << k,) + f.extents)
+    values, e = _unit_binade(f.values)
+    stack = np.broadcast_to(values, (1 << k,) + f.extents)
     acc, accabs = kernels.gowers_sum(np.ascontiguousarray(stack), k)
     weight = f.spacing ** ((k + 1) * f.dim)
     value_pow = _clamp_power(acc * weight, accabs * weight, f"U({k})^{1 << k}")
-    return value_pow ** (1.0 / (1 << k))
+    return _norm_from_power(value_pow, k, e)
 
 
 def _shift_windows(rows, lo, shape):
@@ -219,6 +220,13 @@ def _unit_binade(values):
     return np.ldexp(values, -e), e
 
 
+def _unit_rows(stack):
+    """Each row of ``stack`` by :func:`_unit_binade`, with the sum of the
+    exponents: the scale of a product that takes one factor per row."""
+    rows, exps = zip(*map(_unit_binade, stack))
+    return np.stack(rows), sum(exps)
+
+
 def _check_pow2(top, e, what):
     """Raise ``OverflowError`` unless ``top * 2**e`` is zero or a normal float64."""
     if top and not (
@@ -230,13 +238,15 @@ def _check_pow2(top, e, what):
         )
 
 
-def _norm_from_power(power, spacing, d, k, e):
-    """``||f||_U(k)`` from the engine's power sum of ``f * 2**-e``."""
-    # the recursion accumulates squares, so the power sum is nonnegative by
-    # construction and needs no clamp
-    unit = (power * spacing ** ((k + 1) * d)) ** (1.0 / (1 << k))
-    _check_pow2(unit, e, f"U({k}) norm")
-    return math.ldexp(unit, e)
+def _scale_back(value, e, what):
+    """``value * 2**e``, exactly, or ``OverflowError`` if not a normal float64."""
+    _check_pow2(value, e, what)
+    return math.ldexp(value, e)
+
+
+def _norm_from_power(value_pow, k, e):
+    """``||f||_U(k)`` from the weighted power sum of ``f * 2**-e``."""
+    return _scale_back(value_pow ** (1.0 / (1 << k)), e, f"U({k}) norm")
 
 
 def gowers_norm_rec(f, k):
@@ -252,16 +262,19 @@ def gowers_norm_rec(f, k):
     values, e = _unit_binade(f.values)
     if k == 1:
         # |integral(f)|, summed on the rescaled values
-        unit = abs(f.cell_measure * float(np.sum(values)))
-        _check_pow2(unit, e, "U(1) norm")
-        return math.ldexp(unit, e)
-    return _norm_from_power(_shift_product_sum(values, k), f.spacing, f.dim, k, e)
+        return _scale_back(abs(f.cell_measure * float(np.sum(values))), e, "U(1) norm")
+    # the recursion accumulates squares, so the power sum is nonnegative by
+    # construction and needs no clamp
+    power = _shift_product_sum(values, k) * f.spacing ** ((k + 1) * f.dim)
+    return _norm_from_power(power, k, e)
 
 
 def gowers_norm_spectral_u2(f):
     """Order-2 norm as the dual-lattice L^4 norm of the transform padded to 3N."""
-    spec = fourier(f, tuple(3 * n for n in f.extents))
-    return spec.lp_norm(4)
+    values, e = _unit_binade(f.values)
+    unit = GridFunction(values, f.spacing, f.origin)
+    spec = fourier(unit, tuple(3 * n for n in f.extents))
+    return _scale_back(spec.lp_norm(4), e, "U(2) norm")
 
 
 def gowers_norm(f, k, algo="rec", work_budget=None):
@@ -290,39 +303,25 @@ def gowers_inner(fs, work_budget=None):
     lo, hi, stack = fs.stacked()
     extents = tuple(h - l for l, h in zip(lo, hi))
     check_work(brute_gowers_work(extents, k), work_budget)
-    acc, _ = kernels.gowers_sum(stack, k)
-    return acc * fs.spacing ** ((k + 1) * fs.dim)
+    rows, e = _unit_rows(stack)
+    acc, _ = kernels.gowers_sum(rows, k)
+    return _scale_back(acc * fs.spacing ** ((k + 1) * fs.dim), e, "cube inner product")
 
 
 def csg_gap(fs, work_budget=None):
     """Cauchy-Schwarz-Gowers check for one tuple.
 
     Gates ``T_k <= prod ||f_a||_U(k) <= prod ||f_a||_p_k`` with relative
-    slack 1e-9; signed tuples are recorded but not gated.
+    slack ``records.INEQ_SLACK``; signed tuples are recorded but not gated.
     """
     k = fs.k
     trip = exponent_triple(k)
     lhs = gowers_inner(fs, work_budget)
-    unorms = [gowers_norm_rec(g, k) for g in fs]
-    pnorms = [lp_norm(g, trip.p_float) for g in fs]
-    rhs = float(np.prod(unorms))
-    rhs2 = float(np.prod(pnorms))
-    if fs.is_nonnegative():
-        passed = lhs <= rhs * (1.0 + INEQ_SLACK) and rhs <= rhs2 * (1.0 + INEQ_SLACK)
-    else:
-        passed = None
-    lo, hi, _ = fs.stacked()
-    return CheckRecord(
-        name="eq1.5-csg",
-        lhs=lhs,
-        rhs=rhs,
-        ratio=safe_ratio(lhs, rhs),
-        passed=passed,
-        params={
-            "k": k,
-            "d": fs.dim,
-            "N": max(h - l for l, h in zip(lo, hi)),
-            "w": fs.spacing,
-        },
-        extra={"rhs_lp": rhs2, "ratio_norms_lp": safe_ratio(rhs, rhs2)},
+    rhs = float(np.prod([gowers_norm_rec(g, k) for g in fs]))
+    rhs2 = float(np.prod([lp_norm(g, trip.p_float) for g in fs]))
+    passed = lhs <= rhs * (1.0 + INEQ_SLACK) and rhs <= rhs2 * (1.0 + INEQ_SLACK)
+    params = instance_params(k, fs.dim, fs.extent, fs.spacing)
+    return check_record(
+        "eq1.5-csg", lhs, rhs, passed, params, signed=not fs.is_nonnegative(),
+        extra={"rhs_lp": rhs2}, extra_ratios={"ratio_norms_lp": (rhs, rhs2)},
     )

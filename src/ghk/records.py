@@ -1,9 +1,11 @@
-"""Check records and suite reports.
+"""Check records, their gate tolerances, and suite reports.
 
 A :class:`CheckRecord` captures one numerically verified inequality or
-identity instance: the two sides, their ratio, and a pass flag. Signed-input
-runs of the inequality checks are recorded with ``passed=None`` (monitored,
-not gated), since the constant-1 bounds are proved for nonnegative inputs.
+identity instance: the two sides, their ratio, and a pass flag. Every record
+is built by :func:`check_record`, and every gate reads its tolerance from the
+names below. Signed-input runs of the inequality checks are recorded with
+``passed=None`` (monitored, not gated), since the constant-1 bounds are
+proved for nonnegative inputs.
 """
 
 from __future__ import annotations
@@ -12,6 +14,26 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+
+
+#: Relative slack of the constant-one inequality gates and the ascent trail.
+INEQ_SLACK = 1e-9
+#: Relative slack of the transform-norm bound (eq5.7).
+FOURIER_SLACK = 1e-8
+#: Relative gap of the exact identities (eq3.2 pairing, eq5.4, duality).
+IDENTITY_TOL = 1e-9
+#: Relative gap of the dual field's homogeneity identity (eq1.6).
+HOMOGENEITY_TOL = 1e-12
+#: Gap of a recursive route from its brute oracle, per max(1, oracle).
+ORACLE_TOL = 1e-9
+#: Gap of the spectral route from the brute oracle, per max(1, oracle).
+SPECTRAL_TOL = 1e-8
+#: Slack of the decomposition's unit bounds (eq4.2) and of eq4.9's p-norm.
+UNIT_BOUND_SLACK = 1e-6
+#: Ceiling of ||H||_s / delta in the decomposition (eq4.2).
+H_BOUND = 1.05
+#: Share of the correlation floor (theta/2)^(2^k) eq4.9 may fall short.
+CORRELATION_SHORTFALL = 0.05
 
 
 def safe_ratio(lhs, rhs):
@@ -48,6 +70,27 @@ class CheckRecord:
         if include_runtime:
             doc["runtime_ms"] = self.runtime_ms
         return doc
+
+
+def instance_params(k, d, n, w, **more):
+    """A record's coordinates (order, dimension, extent, pitch) and extras."""
+    return {"k": k, "d": d, "N": n, "w": w, **more}
+
+
+def check_record(name, lhs, rhs, passed, params, signed=False, extra=None,
+                 extra_ratios=None):
+    """The record of one check instance, with ``ratio = safe_ratio(lhs, rhs)``.
+
+    An inequality run on ``signed`` inputs is monitored (``passed=None``),
+    not gated. Each ``(lhs, rhs)`` pair in ``extra_ratios`` joins ``extra``
+    as its ratio.
+    """
+    extra = dict(extra or {})
+    for key, (a, b) in (extra_ratios or {}).items():
+        extra[key] = safe_ratio(a, b)
+    passed = None if signed else passed
+    return CheckRecord(name, lhs, rhs, safe_ratio(lhs, rhs), passed, params=params,
+                       extra=extra)
 
 
 def config_hash(config):

@@ -6,26 +6,9 @@ coordinates. Sweeps run in a thread pool over independent instances; records
 are sorted before assembly, so parallel and serial runs produce identical
 reports.
 
-Check catalog (record names):
-
-=====================  =====================================================
-eq1.2-monotone         U(k) norm dominated by the L^p_k norm
-eq1.5-csg              cube inner product vs norm products (two-stage)
-eq1.6-homogeneity      dual field of t*f equals t^(2^k-1) times dual field
-eq2.1-lemma1           sup of dual field vs product of L^q_k norms
-eq2.3-floor            dual-norm estimate at least the L^s_k norm
-eq3.1-lemma2           dual-field pairings dominated by norm products
-eq3.2-witness          dual norm of D_k f attains ||f||_U^(2^k - 1)
-eq4.2-decompose        decomposition bounds, exactness, residual trail
-eq4.9-corollary5       correlation floor of the constructed dual field
-eq5.2-continuity       dual-field shift continuity vs telescoped majorant
-eq5.4-product-identity product of dual fields vs literal double shift sum
-eq5.6-product-bound    product of dual fields vs q_k norm products
-eq5.7-fourier          transform norm of dual field vs p_k norm products
-duality-identity       <f, D_k f> equals the 2^k-th power of the norm
-oracle-norm            recursive norm route against the brute oracle
-spectral-u2            order-2 spectral route against the brute oracle
-=====================  =====================================================
+``CHECKS`` maps each record name to its check. The catalog of what each one
+gates, with its tolerance, is the table under "Verification suite" in the
+README; the tolerances themselves are named once, in ``records``.
 """
 
 from __future__ import annotations
@@ -41,6 +24,7 @@ from .antiuniform import AscentOptions, corollary5, decompose, dual_norm_lower
 from .budget import BudgetExceededError
 from .dual import (
     continuity_modulus,
+    dual_brute,
     dual_rec,
     fourier_bound_gap,
     lemma1_gap,
@@ -51,14 +35,21 @@ from .exponents import exponent_triple
 from .families import random_function, random_tuple, unit_p_norm
 from .grid import inner, lp_norm, scale
 from .gridio import write_ghk
-from .norms import (
+from .norms import csg_gap, gowers_norm_brute, gowers_norm_rec, gowers_norm_spectral_u2
+from .records import (
+    CORRELATION_SHORTFALL,
+    H_BOUND,
+    HOMOGENEITY_TOL,
+    IDENTITY_TOL,
     INEQ_SLACK,
-    csg_gap,
-    gowers_norm_brute,
-    gowers_norm_rec,
-    gowers_norm_spectral_u2,
+    ORACLE_TOL,
+    SPECTRAL_TOL,
+    UNIT_BOUND_SLACK,
+    SuiteReport,
+    check_record,
+    config_hash,
+    instance_params,
 )
-from .records import CheckRecord, SuiteReport, config_hash, safe_ratio
 
 DEFAULT_CONFIG = {
     "version": 1,
@@ -95,14 +86,11 @@ class _Ctx:
         self.opts = AscentOptions(**config.get("ascent", {}))
         self.work_budget = config.get("work_budget")
 
-    def n(self, preferred):
-        return min(self.n_cap, preferred)
-
     def size(self, k, d, d1_by_k, dn_by_k):
         """Instance extent per axis: d = 1 sizes, shrunk for d >= 2 so the
         brute sweeps stay inside the default work budget."""
         table = d1_by_k if d == 1 else dn_by_k
-        return self.n(table[0] if k == 2 else table[1])
+        return min(self.n_cap, table[0] if k == 2 else table[1])
 
 
 def _alternating_family(seed):
@@ -112,28 +100,39 @@ def _alternating_family(seed):
 # each check: fn(ctx, k, d, seed) -> (CheckRecord, {filename: GridFunction})
 
 
+def _nonneg(ctx, k, d, n, seed, punctured=True):
+    """``(fs, grids)``: one random-nonneg tuple and its grids ``f_i``."""
+    fs = random_tuple("random-nonneg", k, d, n, ctx.w, seed, punctured=punctured)
+    return fs, {f"f_{i}": g for i, g in enumerate(fs)}
+
+
+def _nonneg_pair(ctx, k, d, n, seed):
+    """``(fs1, fs2, grids)``: two punctured tuples and their grids ``a_i``, ``b_i``."""
+    fs1, _ = _nonneg(ctx, k, d, n, seed)
+    fs2, _ = _nonneg(ctx, k, d, n, seed + 104729)
+    grids = {f"{tag}_{i}": g for tag, fs in (("a", fs1), ("b", fs2)) for i, g in enumerate(fs)}
+    return fs1, fs2, grids
+
+
+def _tagged(rec):
+    # the library checks record the tuple's coordinates; the suite adds its family
+    rec.params["family"] = "random-nonneg"
+    return rec
+
+
 def _chk_monotone(ctx, k, d, seed):
     n = ctx.size(k, d, (16, 8), (6, 4))
     f = random_function("random-nonneg", d, n, ctx.w, seed)
     lhs = gowers_norm_rec(f, k)
     rhs = lp_norm(f, exponent_triple(k).p_float)
-    rec = CheckRecord(
-        name="eq1.2-monotone",
-        lhs=lhs,
-        rhs=rhs,
-        ratio=safe_ratio(lhs, rhs),
-        passed=lhs <= rhs * (1.0 + INEQ_SLACK),
-        params={"k": k, "d": d, "N": n, "w": ctx.w, "family": "random-nonneg"},
-    )
-    return rec, {"f": f}
+    passed = lhs <= rhs * (1.0 + INEQ_SLACK)
+    params = instance_params(k, d, n, ctx.w, family="random-nonneg")
+    return check_record("eq1.2-monotone", lhs, rhs, passed, params), {"f": f}
 
 
 def _chk_csg(ctx, k, d, seed):
-    n = ctx.size(k, d, (16, 8), (6, 4))
-    fs = random_tuple("random-nonneg", k, d, n, ctx.w, seed)
-    rec = csg_gap(fs, work_budget=ctx.work_budget)
-    rec.params.update({"k": k, "d": d, "N": n, "w": ctx.w, "family": "random-nonneg"})
-    return rec, {f"f_{i}": g for i, g in enumerate(fs)}
+    fs, grids = _nonneg(ctx, k, d, ctx.size(k, d, (16, 8), (6, 4)), seed, punctured=False)
+    return _tagged(csg_gap(fs, work_budget=ctx.work_budget)), grids
 
 
 def _chk_homogeneity(ctx, k, d, seed):
@@ -145,23 +144,14 @@ def _chk_homogeneity(ctx, k, d, seed):
     right = scale(dual_rec(f, k), t ** ((1 << k) - 1))
     diff = float(np.max(np.abs(left.values - right.values)))
     scale_ref = float(np.max(np.abs(right.values)))
-    rec = CheckRecord(
-        name="eq1.6-homogeneity",
-        lhs=diff,
-        rhs=scale_ref,
-        ratio=safe_ratio(diff, scale_ref),
-        passed=diff <= 1e-12 * max(scale_ref, 1e-300),
-        params={"k": k, "d": d, "N": n, "w": ctx.w, "family": family, "t": t},
-    )
-    return rec, {"f": f}
+    passed = diff <= HOMOGENEITY_TOL * max(scale_ref, 1e-300)
+    params = instance_params(k, d, n, ctx.w, family=family, t=t)
+    return check_record("eq1.6-homogeneity", diff, scale_ref, passed, params), {"f": f}
 
 
 def _chk_lemma1(ctx, k, d, seed):
-    n = ctx.size(k, d, (12, 8), (6, 4))
-    fs = random_tuple("random-nonneg", k, d, n, ctx.w, seed, punctured=True)
-    rec = lemma1_gap(fs, work_budget=ctx.work_budget)
-    rec.params["family"] = "random-nonneg"
-    return rec, {f"f_{i}": g for i, g in enumerate(fs)}
+    fs, grids = _nonneg(ctx, k, d, ctx.size(k, d, (12, 8), (6, 4)), seed)
+    return _tagged(lemma1_gap(fs, work_budget=ctx.work_budget)), grids
 
 
 def _chk_floor(ctx, k, d, seed):
@@ -169,44 +159,27 @@ def _chk_floor(ctx, k, d, seed):
     g = random_function("random-nonneg", d, n, ctx.w, seed)
     est = dual_norm_lower(g, k, ctx.opts)
     floor = lp_norm(g, exponent_triple(k).s_float)
-    rec = CheckRecord(
-        name="eq2.3-floor",
-        lhs=est.value,
-        rhs=floor,
-        ratio=safe_ratio(est.value, floor),
-        passed=est.value >= floor * (1.0 - INEQ_SLACK),
-        params={"k": k, "d": d, "N": n, "w": ctx.w, "family": "random-nonneg"},
-        extra={"iterations": est.iterations, "converged": est.converged},
-    )
+    passed = est.value >= floor * (1.0 - INEQ_SLACK)
+    params = instance_params(k, d, n, ctx.w, family="random-nonneg")
+    extra = {"iterations": est.iterations, "converged": est.converged}
+    rec = check_record("eq2.3-floor", est.value, floor, passed, params, extra=extra)
     return rec, {"g": g}
 
 
 def _chk_lemma2(ctx, k, d, seed):
     n = ctx.size(k, d, (8, 8), (5, 5))
-    fs = random_tuple("random-nonneg", k, d, n, ctx.w, seed, punctured=True)
+    fs, grids = _nonneg(ctx, k, d, n, seed)
     h = random_function("random-nonneg", d, n, ctx.w, seed + 7919)
     hu = gowers_norm_rec(h, k)
     if hu > 0:
         h = scale(h, 1.0 / hu)
-    from .dual import dual_brute
-
-    g = dual_brute(fs, work_budget=ctx.work_budget)
-    lhs = inner(g, h)
-    unorms = [gowers_norm_rec(f, k) for f in fs]
-    pnorms = [lp_norm(f, exponent_triple(k).p_float) for f in fs]
-    rhs = float(np.prod(unorms))
-    rhs2 = float(np.prod(pnorms))
-    rec = CheckRecord(
-        name="eq3.1-lemma2",
-        lhs=lhs,
-        rhs=rhs,
-        ratio=safe_ratio(lhs, rhs),
-        passed=lhs <= rhs * (1.0 + INEQ_SLACK) and rhs <= rhs2 * (1.0 + INEQ_SLACK),
-        params={"k": k, "d": d, "N": n, "w": ctx.w, "family": "random-nonneg"},
-        extra={"rhs_lp": rhs2},
-    )
-    grids = {f"f_{i}": g_ for i, g_ in enumerate(fs)}
     grids["h"] = h
+    lhs = inner(dual_brute(fs, work_budget=ctx.work_budget), h)
+    rhs = float(np.prod([gowers_norm_rec(f, k) for f in fs]))
+    rhs2 = float(np.prod([lp_norm(f, exponent_triple(k).p_float) for f in fs]))
+    passed = lhs <= rhs * (1.0 + INEQ_SLACK) and rhs <= rhs2 * (1.0 + INEQ_SLACK)
+    params = instance_params(k, d, n, ctx.w, family="random-nonneg")
+    rec = check_record("eq3.1-lemma2", lhs, rhs, passed, params, extra={"rhs_lp": rhs2})
     return rec, grids
 
 
@@ -218,17 +191,13 @@ def _chk_witness(ctx, k, d, seed):
     pairing = inner(g, scale(f, 1.0 / u))
     target = u ** ((1 << k) - 1)
     est = dual_norm_lower(g, k, ctx.opts, candidates=(f,))
-    identity_ok = abs(pairing - target) <= 1e-9 * max(target, 1e-300)
-    attain_ok = est.value >= target * (1.0 - INEQ_SLACK)
-    rec = CheckRecord(
-        name="eq3.2-witness",
-        lhs=pairing,
-        rhs=target,
-        ratio=safe_ratio(pairing, target),
-        passed=identity_ok and attain_ok,
-        params={"k": k, "d": d, "N": n, "w": ctx.w, "family": "random-nonneg"},
-        extra={"dual_estimate": est.value},
+    passed = (
+        abs(pairing - target) <= IDENTITY_TOL * max(target, 1e-300)
+        and est.value >= target * (1.0 - INEQ_SLACK)
     )
+    params = instance_params(k, d, n, ctx.w, family="random-nonneg")
+    extra = {"dual_estimate": est.value}
+    rec = check_record("eq3.2-witness", pairing, target, passed, params, extra=extra)
     return rec, {"f": f}
 
 
@@ -256,9 +225,9 @@ def _chk_decompose(ctx, k, d, seed):
             "H_s": res.norms["H_s"] / delta,
         }
         ok = (
-            ratios["F_p"] <= 1.0 + 1e-6
-            and ratios["F_U"] <= 1.0 + 1e-6
-            and ratios["H_s"] <= 1.05
+            ratios["F_p"] <= 1.0 + UNIT_BOUND_SLACK
+            and ratios["F_U"] <= 1.0 + UNIT_BOUND_SLACK
+            and ratios["H_s"] <= H_BOUND
             and exact
             and mono
         )
@@ -272,15 +241,8 @@ def _chk_decompose(ctx, k, d, seed):
         }
         worst = max(worst, ratios["H_s"])
         all_ok = all_ok and ok
-    rec = CheckRecord(
-        name="eq4.2-decompose",
-        lhs=worst,
-        rhs=1.05,
-        ratio=safe_ratio(worst, 1.05),
-        passed=all_ok,
-        params={"k": k, "d": d, "N": n, "w": ctx.w, "family": "random-nonneg"},
-        extra=details,
-    )
+    params = instance_params(k, d, n, ctx.w, family="random-nonneg")
+    rec = check_record("eq4.2-decompose", worst, H_BOUND, all_ok, params, extra=details)
     return rec, {"g": g}
 
 
@@ -290,57 +252,35 @@ def _chk_corollary5(ctx, k, d, seed):
     theta = gowers_norm_rec(phi, k)
     f = corollary5(phi, k, ctx.opts)
     pairing = inner(dual_rec(f, k), phi)
-    floor = (theta / 2.0) ** (1 << k) * (1.0 - 0.05)
+    floor = (theta / 2.0) ** (1 << k) * (1.0 - CORRELATION_SHORTFALL)
     pn = lp_norm(f, exponent_triple(k).p_float)
-    rec = CheckRecord(
-        name="eq4.9-corollary5",
-        lhs=pairing,
-        rhs=floor,
-        ratio=safe_ratio(pairing, floor),
-        passed=pairing > floor and pn <= 1.0 + 1e-6,
-        params={"k": k, "d": d, "N": n, "w": ctx.w, "family": "random-nonneg"},
-        extra={"theta": theta, "f_p_norm": pn},
-    )
+    passed = pairing > floor and pn <= 1.0 + UNIT_BOUND_SLACK
+    params = instance_params(k, d, n, ctx.w, family="random-nonneg")
+    extra = {"theta": theta, "f_p_norm": pn}
+    rec = check_record("eq4.9-corollary5", pairing, floor, passed, params, extra=extra)
     return rec, {"phi": phi, "f": f}
 
 
 def _chk_continuity(ctx, k, d, seed):
     n = ctx.size(k, d, (8, 6), (5, 3))
-    fs = random_tuple("random-nonneg", k, d, n, ctx.w, seed, punctured=True)
+    fs, grids = _nonneg(ctx, k, d, n, seed)
     v = (seed % (n // 2 + 1),) * d
-    rec = continuity_modulus(fs, v, work_budget=ctx.work_budget)
-    rec.params["family"] = "random-nonneg"
-    return rec, {f"f_{i}": g for i, g in enumerate(fs)}
+    return _tagged(continuity_modulus(fs, v, work_budget=ctx.work_budget)), grids
 
 
 def _chk_product_identity(ctx, k, d, seed):
-    n = ctx.size(k, d, (4, 4), (3, 3))
-    fs1 = random_tuple("random-nonneg", k, d, n, ctx.w, seed, punctured=True)
-    fs2 = random_tuple("random-nonneg", k, d, n, ctx.w, seed + 104729, punctured=True)
-    rec = product_identity_gap(fs1, fs2, work_budget=ctx.work_budget)
-    rec.params["family"] = "random-nonneg"
-    grids = {f"a_{i}": g for i, g in enumerate(fs1)}
-    grids.update({f"b_{i}": g for i, g in enumerate(fs2)})
-    return rec, grids
+    fs1, fs2, grids = _nonneg_pair(ctx, k, d, ctx.size(k, d, (4, 4), (3, 3)), seed)
+    return _tagged(product_identity_gap(fs1, fs2, work_budget=ctx.work_budget)), grids
 
 
 def _chk_product_bound(ctx, k, d, seed):
-    n = ctx.size(k, d, (8, 8), (5, 5))
-    fs1 = random_tuple("random-nonneg", k, d, n, ctx.w, seed, punctured=True)
-    fs2 = random_tuple("random-nonneg", k, d, n, ctx.w, seed + 104729, punctured=True)
-    rec = product_bound_gap(fs1, fs2, work_budget=ctx.work_budget)
-    rec.params["family"] = "random-nonneg"
-    grids = {f"a_{i}": g for i, g in enumerate(fs1)}
-    grids.update({f"b_{i}": g for i, g in enumerate(fs2)})
-    return rec, grids
+    fs1, fs2, grids = _nonneg_pair(ctx, k, d, ctx.size(k, d, (8, 8), (5, 5)), seed)
+    return _tagged(product_bound_gap(fs1, fs2, work_budget=ctx.work_budget)), grids
 
 
 def _chk_fourier(ctx, k, d, seed):
-    n = ctx.size(k, d, (4, 4), (3, 3))
-    fs = random_tuple("random-nonneg", k, d, n, ctx.w, seed, punctured=True)
-    rec = fourier_bound_gap(fs, work_budget=ctx.work_budget)
-    rec.params["family"] = "random-nonneg"
-    return rec, {f"f_{i}": g for i, g in enumerate(fs)}
+    fs, grids = _nonneg(ctx, k, d, ctx.size(k, d, (4, 4), (3, 3)), seed)
+    return _tagged(fourier_bound_gap(fs, work_budget=ctx.work_budget)), grids
 
 
 def _chk_duality(ctx, k, d, seed):
@@ -349,15 +289,9 @@ def _chk_duality(ctx, k, d, seed):
     f = random_function(family, d, n, ctx.w, seed)
     lhs = inner(f, dual_rec(f, k))
     rhs = gowers_norm_rec(f, k) ** (1 << k)
-    rec = CheckRecord(
-        name="duality-identity",
-        lhs=lhs,
-        rhs=rhs,
-        ratio=safe_ratio(lhs, rhs) if rhs > 0 else 0.0,
-        passed=abs(lhs - rhs) <= 1e-9 * max(rhs, 1e-300),
-        params={"k": k, "d": d, "N": n, "w": ctx.w, "family": family},
-    )
-    return rec, {"f": f}
+    passed = abs(lhs - rhs) <= IDENTITY_TOL * max(rhs, 1e-300)
+    params = instance_params(k, d, n, ctx.w, family=family)
+    return check_record("duality-identity", lhs, rhs, passed, params), {"f": f}
 
 
 def _chk_oracle(ctx, k, d, seed):
@@ -365,31 +299,20 @@ def _chk_oracle(ctx, k, d, seed):
     f = random_function("random-nonneg", d, n, ctx.w, seed)
     brute = gowers_norm_brute(f, k, ctx.work_budget)
     recv = gowers_norm_rec(f, k)
-    rec = CheckRecord(
-        name="oracle-norm",
-        lhs=recv,
-        rhs=brute,
-        ratio=safe_ratio(recv, brute),
-        passed=abs(recv - brute) <= 1e-9 * max(1.0, brute),
-        params={"k": k, "d": d, "N": n, "w": ctx.w, "family": "random-nonneg"},
-    )
-    return rec, {"f": f}
+    passed = abs(recv - brute) <= ORACLE_TOL * max(1.0, brute)
+    params = instance_params(k, d, n, ctx.w, family="random-nonneg")
+    return check_record("oracle-norm", recv, brute, passed, params), {"f": f}
 
 
 def _chk_spectral(ctx, k, d, seed):
     n = ctx.size(k, d, (12, 12), (6, 6))
-    f = random_function(_alternating_family(seed), d, n, ctx.w, seed)
+    family = _alternating_family(seed)
+    f = random_function(family, d, n, ctx.w, seed)
     spec = gowers_norm_spectral_u2(f)
     brute = gowers_norm_brute(f, 2, ctx.work_budget)
-    rec = CheckRecord(
-        name="spectral-u2",
-        lhs=spec,
-        rhs=brute,
-        ratio=safe_ratio(spec, brute),
-        passed=abs(spec - brute) <= 1e-8 * max(1.0, brute),
-        params={"k": 2, "d": d, "N": n, "w": ctx.w, "family": _alternating_family(seed)},
-    )
-    return rec, {"f": f}
+    passed = abs(spec - brute) <= SPECTRAL_TOL * max(1.0, brute)
+    params = instance_params(2, d, n, ctx.w, family=family)
+    return check_record("spectral-u2", spec, brute, passed, params), {"f": f}
 
 
 # name -> (fn, applicable(k))
@@ -443,13 +366,14 @@ def _write_failure_artifacts(directory, record, grids):
     os.makedirs(case_dir, exist_ok=True)
     for name, g in grids.items():
         write_ghk(g, os.path.join(case_dir, f"{name}.ghk"))
-    replay = (
-        f"ghk verify --replay '{record.name}:{record.params.get('k')}:"
-        f"{record.params.get('d')}:{record.seed}'"
-    )
+    replay = _replay(record.name, record.params.get("k"), record.params.get("d"), record.seed)
     with open(os.path.join(case_dir, "replay.txt"), "w") as fh:
         fh.write(replay + "\n")
     return case_dir
+
+
+def _replay(name, k, d, seed):
+    return f"ghk verify --replay '{name}:{k}:{d}:{seed}'"
 
 
 def run_suite(config=None, threads=None, artifacts_dir=None):
@@ -462,8 +386,7 @@ def run_suite(config=None, threads=None, artifacts_dir=None):
     as GHK1 grids plus a replay command when ``artifacts_dir`` is given.
     """
     config = resolved_config(config)
-    ctx_probe = _Ctx(config)  # validate config eagerly
-    del ctx_probe
+    _Ctx(config)  # validate config eagerly
     base_seed = int(config.get("base_seed", 0))
     reps_default = int(config.get("reps", 100))
     overrides = config.get("reps_overrides", {})
@@ -514,8 +437,8 @@ def run_suite(config=None, threads=None, artifacts_dir=None):
             _write_failure_artifacts(artifacts_dir, record, grids)
 
     if budget_abort:
-        (name, k, d, seed), err = budget_abort
-        replay = f"ghk verify --replay '{name}:{k}:{d}:{seed}'"
+        task, err = budget_abort
+        replay = _replay(*task)
         if artifacts_dir:
             os.makedirs(artifacts_dir, exist_ok=True)
             with open(os.path.join(artifacts_dir, "budget-abort.txt"), "w") as fh:

@@ -29,18 +29,14 @@ class TestAscentOptions:
         opts = AscentOptions()
         assert opts.max_iters == 500
         assert opts.rel_tol == 1e-8
-        assert opts.step_init == 1.0
-        assert opts.backtrack == 0.5
 
     def test_validation(self):
         with pytest.raises(ValueError):
             AscentOptions(max_iters=0)
         with pytest.raises(ValueError):
             AscentOptions(rel_tol=0)
-        with pytest.raises(ValueError):
-            AscentOptions(backtrack=1.0)
-        with pytest.raises(ValueError):
-            AscentOptions(step_init=-1)
+        with pytest.raises(TypeError):
+            AscentOptions(step_init=1.0)
 
 
 class TestDualNormLower:

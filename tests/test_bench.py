@@ -1,6 +1,11 @@
+import numpy as np
 import pytest
 
-from ghk.bench import CSV_HEADER, KERNELS, bench, rows_to_csv
+from ghk import norms
+from ghk.bench import CSV_HEADER, KERNELS, _kernel_table, bench, rows_to_csv
+from ghk.budget import fft_work
+from ghk.dual import dual_rec
+from ghk.families import random_function
 
 
 class TestBench:
@@ -46,3 +51,20 @@ class TestBench:
         text = rows_to_csv(rows)
         line = text.splitlines()[1].split(",")
         assert float(line[4]) == rows[0]["median_ms"]
+
+
+class TestWorkModel:
+    @pytest.mark.parametrize("d, n", [(1, 5), (1, 8), (2, 4)])
+    def test_d3_rec_models_the_padding_dual_rec_uses(self, d, n, monkeypatch):
+        lengths = []
+        rfftn = np.fft.rfftn
+
+        def recording(a, s=None, axes=None):
+            lengths.append(tuple(s))
+            return rfftn(a, s=s, axes=axes)
+
+        monkeypatch.setattr(norms.np.fft, "rfftn", recording)
+        dual_rec(random_function("random-nonneg", d, n, 1.0 / n, 3), 3)
+        assert lengths and set(lengths) == {(2 * n,) * d}
+        modelled = _kernel_table()["d3-rec"]["work"](n, d)
+        assert modelled == (2 * n - 1) ** d * fft_work(lengths[0])

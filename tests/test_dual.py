@@ -6,7 +6,6 @@ from ghk import (
     FunctionTuple,
     continuity_modulus,
     dual_brute,
-    dual_field,
     dual_rec,
     fourier_bound_gap,
     from_values,
@@ -23,6 +22,7 @@ from ghk import (
 from ghk.families import random_function, random_tuple
 
 from oracles import dual_field_oracle
+from test_norms import times_power
 
 
 def rand_grid(seed, n=8, d=1, w=0.25, signed=False):
@@ -94,6 +94,31 @@ class TestDualBrute:
         f = rand_grid(4)
         with pytest.raises(ValueError, match="punctured"):
             dual_brute(FunctionTuple.constant(f, 2))
+
+
+class TestScaleSafeDualBrute:
+    """``dual_brute`` evaluates on rows rescaled by powers of two."""
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("t", [1e40, 1e-40, 1e100, 1e-100, 1e200])
+    def test_field_scales_or_raises(self, t, k):
+        base = dual_brute(equal_tuple(from_values(np.ones(4), 1.0), k)).values
+        want = times_power(base, t, (1 << k) - 1)
+        f = from_values(np.full(4, t), 1.0)
+        if want is None:
+            with pytest.raises(OverflowError, match="outside the normal float64 range"):
+                dual_brute(equal_tuple(f, k))
+            with pytest.raises(OverflowError):
+                dual_rec(f, k)
+        else:
+            np.testing.assert_allclose(dual_brute(equal_tuple(f, k)).values, want, rtol=1e-13)
+
+    def test_one_exponent_per_row(self):
+        # the first two factors overflow together; all three make about 1e100
+        rows = [from_values(np.ones(4) * t, 1.0) for t in (1e200, 1e200, 1e-300)]
+        got = dual_brute(FunctionTuple.punctured(2, rows)).values
+        base = dual_brute(equal_tuple(from_values(np.ones(4), 1.0), 2)).values
+        np.testing.assert_allclose(got, base * 1e100, rtol=1e-13)
 
 
 class TestDualRec:
@@ -242,16 +267,6 @@ class TestDualRec:
             pair = inner(f, dual_rec(f, k))
             want = gowers_norm_rec(f, k) ** (1 << k)
             assert abs(pair - want) <= 1e-9 * max(want, 1e-300)
-
-    def test_dispatch_helper(self):
-        f = rand_grid(11)
-        fs = equal_tuple(f, 2)
-        assert dual_field(fs) == dual_brute(fs)
-        assert dual_field(f, 2, algo="rec") == dual_rec(f, 2)
-        with pytest.raises(ValueError, match="all-equal"):
-            dual_field(fs, algo="rec")
-        with pytest.raises(ValueError, match="k is required"):
-            dual_field(f)
 
 
 class TestLemma1:

@@ -235,6 +235,62 @@ class TestFusedPowerSum:
         assert u == pytest.approx(gowers_norm_brute(f, 3), rel=1e-12)
 
 
+def times_power(value, t, deg):
+    """``value * t**deg``, or None when that is not a normal float64."""
+    magnitude = np.log2(np.max(np.abs(value))) + deg * np.log2(t)
+    if not (-1021.0 < magnitude < 1023.0):
+        return None
+    for _ in range(deg):  # every partial product lies between the two ends
+        value = value * t
+    return value
+
+
+SCALES = [1e40, 1e-40, 1e100, 1e-100, 1e200]
+
+
+class TestScaleSafeBrute:
+    """The brute and spectral routes, and the cube inner product, evaluate on
+    rows rescaled by powers of two and scale back exactly."""
+
+    @staticmethod
+    def ones(t):
+        return from_values(np.full(4, t), 1.0)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("t", SCALES)
+    def test_brute_norm_scales_with_input(self, t, k):
+        got = gowers_norm_brute(self.ones(t), k)
+        assert got == pytest.approx(t * gowers_norm_brute(self.ones(1.0), k), rel=1e-14, abs=0)
+        assert got == pytest.approx(gowers_norm_rec(self.ones(t), k), rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("t", SCALES)
+    def test_spectral_scales_with_input(self, t):
+        got = gowers_norm_spectral_u2(self.ones(t))
+        assert got == pytest.approx(t * gowers_norm_spectral_u2(self.ones(1.0)), rel=1e-14, abs=0)
+        assert got == pytest.approx(gowers_norm_brute(self.ones(t), 2), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("t", SCALES)
+    def test_inner_scales_or_raises(self, t, k):
+        want = times_power(gowers_inner(FunctionTuple.constant(self.ones(1.0), k)), t, 1 << k)
+        fs = FunctionTuple.constant(self.ones(t), k)
+        if want is None:
+            with pytest.raises(OverflowError, match="cube inner product"):
+                gowers_inner(fs)
+        else:
+            assert gowers_inner(fs) == pytest.approx(want, rel=1e-13, abs=0)
+
+    def test_inner_takes_one_exponent_per_row(self):
+        # each pair of factors overflows, the product of all four does not
+        rows = [self.ones(t) for t in (1e200, 1e200, 1e-200, 1e-200)]
+        want = gowers_inner(FunctionTuple.constant(self.ones(1.0), 2))
+        assert gowers_inner(FunctionTuple.full(2, rows)) == pytest.approx(want, rel=1e-13, abs=0)
+
+    def test_signed_brute_matches_rec_at_large_scale(self):
+        f = scale(rand_grid(4, n=5, signed=True), 1e150)
+        assert gowers_norm_brute(f, 3) == pytest.approx(gowers_norm_rec(f, 3), rel=1e-12, abs=0)
+
+
 class TestSpectral:
     def test_matches_brute(self):
         for seed in range(10):

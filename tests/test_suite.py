@@ -2,9 +2,25 @@ import json
 
 import pytest
 
-from ghk import suite
+from ghk import bench, records, suite
 from ghk.budget import BudgetExceededError
-from ghk.records import CheckRecord, SuiteReport, config_hash, safe_ratio
+from ghk.dual import (
+    continuity_modulus,
+    fourier_bound_gap,
+    lemma1_gap,
+    product_bound_gap,
+    product_identity_gap,
+)
+from ghk.families import random_tuple
+from ghk.norms import csg_gap
+from ghk.records import (
+    CheckRecord,
+    SuiteReport,
+    check_record,
+    config_hash,
+    instance_params,
+    safe_ratio,
+)
 from ghk.suite import CHECKS, resolved_config, run_check, run_suite
 
 SMALL_CONFIG = {
@@ -45,6 +61,80 @@ class TestRecords:
     def test_config_hash_stability(self):
         assert config_hash({"a": 1, "b": 2}) == config_hash({"b": 2, "a": 1})
         assert config_hash({"a": 1}) != config_hash({"a": 2})
+
+
+def _library_record(name, family):
+    """One record of a library check on small tuples drawn from ``family``."""
+    k = 3 if name == "eq5.7-fourier" else 2
+
+    def draw(seed, punctured=True):
+        return random_tuple(family, k, 1, 4, 0.25, seed, punctured=punctured)
+
+    calls = {
+        "eq1.5-csg": lambda: csg_gap(draw(1, punctured=False)),
+        "eq2.1-lemma1": lambda: lemma1_gap(draw(1)),
+        "eq5.2-continuity": lambda: continuity_modulus(draw(1), 1),
+        "eq5.4-product-identity": lambda: product_identity_gap(draw(1), draw(2)),
+        "eq5.6-product-bound": lambda: product_bound_gap(draw(1), draw(2)),
+        "eq5.7-fourier": lambda: fourier_bound_gap(draw(1)),
+    }
+    return calls[name]()
+
+
+LIBRARY_CHECKS = [
+    "eq1.5-csg",
+    "eq2.1-lemma1",
+    "eq5.2-continuity",
+    "eq5.4-product-identity",
+    "eq5.6-product-bound",
+    "eq5.7-fourier",
+]
+
+
+class TestCheckRecord:
+    @pytest.mark.parametrize("name", LIBRARY_CHECKS)
+    @pytest.mark.parametrize("family", ["random-nonneg", "random-signed"])
+    def test_library_ratio_is_safe_ratio(self, name, family):
+        rec = _library_record(name, family)
+        assert rec.name == name
+        assert rec.ratio == safe_ratio(rec.lhs, rec.rhs)
+        if name == "eq1.5-csg":
+            assert rec.extra["ratio_norms_lp"] == safe_ratio(rec.rhs, rec.extra["rhs_lp"])
+
+    @pytest.mark.parametrize("name", LIBRARY_CHECKS)
+    def test_signed_inequalities_are_monitored(self, name):
+        assert _library_record(name, "random-nonneg").passed is True
+        signed = _library_record(name, "random-signed")
+        if name == "eq5.4-product-identity":
+            assert signed.passed is True  # an identity stays gated
+        else:
+            assert signed.passed is None
+
+    def test_builder(self):
+        rec = check_record("x", 0.0, 0.0, False, {"k": 2}, extra_ratios={"r": (1.0, 0.0)})
+        assert (rec.ratio, rec.passed, rec.extra) == (0.0, False, {"r": float("inf")})
+        assert check_record("x", 1.0, 2.0, False, {}, signed=True).passed is None
+        assert instance_params(2, 1, 4, 0.5, family="f") == {
+            "k": 2, "d": 1, "N": 4, "w": 0.5, "family": "f"
+        }
+
+    def test_tolerances_pinned(self):
+        # a gate moves only when this table moves with it
+        assert {name: getattr(records, name) for name in TOLERANCES} == TOLERANCES
+        assert bench._GROUP_TOL == {"u2": 1e-8, "u3": 1e-9, "d2": 1e-9, "d3": 1e-9}
+
+
+TOLERANCES = {
+    "INEQ_SLACK": 1e-9,
+    "FOURIER_SLACK": 1e-8,
+    "IDENTITY_TOL": 1e-9,
+    "HOMOGENEITY_TOL": 1e-12,
+    "ORACLE_TOL": 1e-9,
+    "SPECTRAL_TOL": 1e-8,
+    "UNIT_BOUND_SLACK": 1e-6,
+    "H_BOUND": 1.05,
+    "CORRELATION_SHORTFALL": 0.05,
+}
 
 
 class TestRunSuite:
