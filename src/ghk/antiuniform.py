@@ -30,10 +30,12 @@ ascent stays monotone.
 identity exact regardless of optimizer quality; all approximation error lands
 in the norm bounds, never in the sum.
 
-Each seed and each trial step of an ascent costs one pass of the
-shift-product engine, which returns the iterate's U(k) norm and its dual
-field on the frame (padded to 2N per axis) together. The loop works on bare
-frame arrays and builds grid functions only for what it returns.
+Each seed and each trial step of an ascent costs one engine pass, which
+returns the iterate's U(k) norm and its dual field on the frame together.
+By homogeneity the ascent direction ``g - C grad(f*)`` is the stationarity
+defect, so the residual is the direction's L^s_k norm, and an accepted step
+carries its direction into the next iteration. The loop works on bare frame
+arrays and builds grid functions only for what it returns.
 """
 
 from __future__ import annotations
@@ -162,16 +164,6 @@ class _BlendBall:
     def grad_from(self, fv, dual_vals):
         return dual_vals + self._p_term(fv, _lp_norm(fv, self.cell, self.p))
 
-    def residual_from(self, gv, fv, val, dual_vals):
-        """Stationarity defect for ``F = val^(1/(2^k-1)) f`` against ``g``.
-
-        ``dual_vals`` is the dual field of ``f`` (unit blend norm); by
-        homogeneity the dual field of ``F`` is ``val`` times it.
-        """
-        Fv = val ** (1.0 / (self.two_k - 1)) * fv
-        closed = val * dual_vals + self._p_term(Fv, _lp_norm(Fv, self.cell, self.p))
-        return _lp_norm(_require_finite(gv - closed), self.cell, self.s)
-
 
 def triple_norm(f, k, delta):
     """The blend norm ``(||f||_U^(2^k) + delta^(2^(k+1)) ||f||_p^(2^k))^(1/2^k)``."""
@@ -182,11 +174,18 @@ def triple_norm(f, k, delta):
 
 def _seeds(g, k, candidates):
     trip = exponent_triple(k)
-    seeds = list(candidates)
-    f0_vals = _signed_power(g.values, trip.s_float - 1.0)
-    f0 = GridFunction(f0_vals, g.spacing, g.origin)
-    seeds.append(scale(f0, 1.0 / lp_norm(f0, trip.p_float)))
-    return seeds
+    f0 = GridFunction(_signed_power(g.values, trip.s_float - 1.0), g.spacing, g.origin)
+    return list(candidates) + [scale(f0, 1.0 / lp_norm(f0, trip.p_float))]
+
+
+def _direction(gv, fv, val, dual_vals, ball):
+    # g - val grad(f) at a unit-ball iterate; for the blend ball also the
+    # stationarity defect g - D_k F - p-term(F) of F = val^(1/(2^k-1)) f,
+    # since both terms are homogeneous of degree 2^k - 1
+    grad = gv - val * ball.grad_from(fv, dual_vals)
+    if not np.isfinite(grad).all():
+        raise ArithmeticError("non-finite ascent gradient (upstream bug)")
+    return grad
 
 
 def _ascend(g, k, ball, opts, candidates):
@@ -224,16 +223,13 @@ def _ascend(g, k, ball, opts, candidates):
         raise ValueError("no admissible starting point (all seeds degenerate)")
 
     f, val, u_f, dual_f = best
-    resid = ball.residual_from(gv, f, val, dual_f) if ball.gated else None
+    grad = _direction(gv, f, val, dual_f, ball)
+    resid = _lp_norm(grad, cell, ball.s) if ball.gated else None
     history = [(val, resid, u_f)]
     step = STEP_INIT
     iterations = 0
     converged = False
     for _ in range(opts.max_iters):
-        grad = gv - val * ball.grad_from(f, dual_f)
-        if not np.isfinite(grad).all():
-            raise ArithmeticError("non-finite ascent gradient (upstream bug)")
-        accepted = False
         s = step
         while s > 1e-16 * STEP_INIT:
             trial = _require_finite(f + s * grad)
@@ -244,21 +240,15 @@ def _ascend(g, k, ball, opts, candidates):
                 if val_try > val * (1.0 + 1e-15):
                     dual_try = dual / nrm ** (two_k - 1)
                     f_try = _require_finite(trial * (1.0 / nrm))
-                    if ball.gated:
-                        resid_try = ball.residual_from(gv, f_try, val_try, dual_try)
-                        if resid_try > resid * (1.0 + 1e-12):
-                            s *= BACKTRACK
-                            continue
-                        resid = resid_try
-                    f = f_try
-                    u_f = u / nrm
-                    prev = val
-                    val = val_try
-                    dual_f = dual_try
-                    accepted = True
-                    break
+                    grad_try = _direction(gv, f_try, val_try, dual_try, ball)
+                    # the gated residual is the direction's L^s norm
+                    resid_try = _lp_norm(grad_try, cell, ball.s) if ball.gated else None
+                    if not ball.gated or not resid_try > resid * (1.0 + 1e-12):
+                        prev, f, val, u_f = val, f_try, val_try, u / nrm
+                        dual_f, grad, resid = dual_try, grad_try, resid_try
+                        break
             s *= BACKTRACK
-        if not accepted:
+        else:
             converged = True
             break
         iterations += 1
@@ -277,26 +267,18 @@ def dual_norm_lower(g, k, opts=None, candidates=()):
     starts from the best seed and never decreases, so the returned value is
     at least the objective of every seed.
     """
-    opts = opts or AscentOptions()
-    ball = _UniformityBall(k)
+    ball, opts = _UniformityBall(k), opts or AscentOptions()
     f, _, iterations, converged, history = _ascend(g, k, ball, opts, candidates)
     witness = scale(f, 1.0 / history[-1][2])
-    value = inner(g, witness)
-    return DualNormEstimate(
-        value=value, witness=witness, iterations=iterations, converged=converged
-    )
+    return DualNormEstimate(inner(g, witness), witness, iterations, converged)
 
 
 def triple_dual_lower(g, k, delta, opts=None, candidates=()):
     """Certified lower bound on the dual of the blend norm."""
-    opts = opts or AscentOptions()
-    ball = _BlendBall(k, delta, g.cell_measure)
+    ball, opts = _BlendBall(k, delta, g.cell_measure), opts or AscentOptions()
     f, _, iterations, converged, _ = _ascend(g, k, ball, opts, candidates)
     witness = scale(f, 1.0 / ball.norm(f))
-    value = inner(g, witness)
-    return DualNormEstimate(
-        value=value, witness=witness, iterations=iterations, converged=converged
-    )
+    return DualNormEstimate(inner(g, witness), witness, iterations, converged)
 
 
 def decompose(g, k, delta, opts=None, dual_candidates=()):
@@ -355,9 +337,7 @@ def decompose(g, k, delta, opts=None, dual_candidates=()):
     residual_history = [ri / u_corr for _, ri, _ in history]
     pn = lp_norm(F, ball.p)
     closed = dkF + ball._p_term(F.values, pn)
-    stationarity_residual = lp_norm(
-        GridFunction(g2.values - closed, g2.spacing, g2.origin), ball.s
-    )
+    stationarity_residual = _lp_norm(_require_finite(g2.values - closed), ball.cell, ball.s)
 
     norms = {
         "F_p": pn,

@@ -45,6 +45,7 @@ from .grid import (
 from .norms import (
     _check_pow2,
     _norm_from_power,
+    _scale_back,
     _shift_product_sum,
     _unit_binade,
     _unit_rows,
@@ -89,6 +90,12 @@ def _resolve_out_box(frame_lo, frame_hi, out_box):
 
 def dual_brute(fs, out_box=None, work_budget=None):
     """Brute-force cubic convolution product of a punctured tuple."""
+    unit, e = _dual_brute_unit(fs, out_box, work_budget)
+    return GridFunction(_field_from(unit.values, fs.k, e), fs.spacing, unit.origin)
+
+
+def _dual_brute_unit(fs, out_box, work_budget):
+    """``(D_k of fs's rows rescaled by _unit_rows, their exponent sum)``."""
     _require_punctured(fs, "dual_brute")
     lo, hi, stack = fs.stacked()
     rel_lo, out_shape = _resolve_out_box(lo, hi, out_box)
@@ -97,13 +104,12 @@ def dual_brute(fs, out_box=None, work_budget=None):
     rows, e = _unit_rows(stack)
     raw = kernels.dual_field_sum(rows, fs.k, rel_lo, out_shape)
     origin = tuple(fl + rl for fl, rl in zip(lo, rel_lo))
-    return GridFunction(_field_from(raw, fs.spacing, fs.k, e), fs.spacing, origin)
+    return GridFunction(raw * fs.spacing ** (fs.k * fs.dim), fs.spacing, origin), e
 
 
-def _field_from(raw, spacing, k, e):
-    """The dual field from a raw one whose factors were rescaled by ``2**-e``
-    in all (one factor per row, so ``e`` sums the rows' exponents)."""
-    field = raw * spacing ** (k * raw.ndim)
+def _field_from(field, k, e):
+    """The dual field from one whose factors were rescaled by ``2**-e`` in
+    all (one factor per row, so ``e`` sums the rows' exponents)."""
     _check_pow2(float(np.abs(field).max()), e, f"order-{k} dual field")
     return np.ldexp(field, e)
 
@@ -126,7 +132,7 @@ def dual_rec(f, k, out_box=None):
     raw, _ = _shift_product_sum(values, k, rel_lo, out_shape)
     origin = tuple(fl + rl for fl, rl in zip(lo, rel_lo))
     # D_k is homogeneous of degree 2^k - 1
-    field = _field_from(raw, f.spacing, k, e * ((1 << k) - 1))
+    field = _field_from(raw * f.spacing ** (k * f.dim), k, e * ((1 << k) - 1))
     return GridFunction(field, f.spacing, origin)
 
 
@@ -142,7 +148,7 @@ def _norm_and_dual(values, spacing, k):
     raw, power = _shift_product_sum(scaled, k, (0,) * scaled.ndim, scaled.shape)
     return (
         _norm_from_power(power * spacing ** ((k + 1) * scaled.ndim), k, e),
-        _field_from(raw, spacing, k, e * ((1 << k) - 1)),
+        _field_from(raw * spacing ** (k * scaled.ndim), k, e * ((1 << k) - 1)),
     )
 
 
@@ -182,11 +188,9 @@ def continuity_modulus(fs, v, work_budget=None):
     qnorms = [lp_norm(g, trip.q_float) for g in fs]
     rhs = 0.0
     for i, g in enumerate(fs):
-        shifted_gap = lp_norm(add(g, scale(shift(g, v), -1.0)), trip.q_float)
-        prod = shifted_gap
-        for j, q in enumerate(qnorms):
-            if j != i:
-                prod *= q
+        prod = lp_norm(add(g, scale(shift(g, v), -1.0)), trip.q_float)
+        for q in qnorms[:i] + qnorms[i + 1 :]:
+            prod *= q
         rhs += prod
     params = instance_params(fs.k, fs.dim, fs.extent, fs.spacing, v=list(v))
     passed = lhs <= rhs * (1.0 + INEQ_SLACK)
@@ -199,11 +203,12 @@ def product_identity_gap(fs1, fs2, work_budget=None):
 
     The double sum is evaluated without the change of variables that proves
     the identity, so the two routes are independent. Work grows with the
-    (2k)-fold shift space: smallest instances only.
+    (2k)-fold shift space: smallest instances only. Both routes run on rows
+    rescaled by powers of two, the gate compares the rescaled values, and
+    ``lhs``/``rhs`` are scaled back or raise ``OverflowError``.
     """
     k = _require_pair(fs1, fs2, "product_identity_gap")
-    g1 = dual_brute(fs1, work_budget=work_budget)
-    g2 = dual_brute(fs2, work_budget=work_budget)
+    (g1, e1), (g2, e2) = (_dual_brute_unit(fs, None, work_budget) for fs in (fs1, fs2))
     lhs_field = pointwise_mul(g1, g2)
     box = intersection_box([g1.box, g2.box])
     if box is None:
@@ -215,28 +220,32 @@ def product_identity_gap(fs1, fs2, work_budget=None):
         out_shape = tuple(h - l for l, h in zip(*box))
         extents = tuple(h - l for l, h in zip(lo, hi))
         check_work(brute_dual_work(extents, 2 * k, out_shape), work_budget)
-        raw = kernels.dual_pair_field_sum(stack[:m], stack[m:], k, rel_lo, out_shape)
+        rows, _ = _unit_rows(stack)
+        raw = kernels.dual_pair_field_sum(rows[:m], rows[m:], k, rel_lo, out_shape)
         rhs_field = raw * fs1.spacing ** (2 * k * fs1.dim)
         lhs = float(np.max(np.abs(lhs_field.values - rhs_field)))
         rhs_scale = float(np.max(np.abs(lhs_field.values)))
     passed = (lhs <= IDENTITY_TOL * max(rhs_scale, 1e-300)) or (lhs == 0.0)
+    lhs, rhs_scale = (_scale_back(v, e1 + e2, "dual field product") for v in (lhs, rhs_scale))
     params = instance_params(k, fs1.dim, fs1.extent, fs1.spacing)
     return check_record("eq5.4-product-identity", lhs, rhs_scale, passed, params)
 
 
 def product_bound_gap(fs1, fs2, work_budget=None):
-    """Sup bound for the product of two dual fields by the q_k norm products."""
-    trip = exponent_triple(_require_pair(fs1, fs2, "product_bound_gap"))
-    g1 = dual_brute(fs1, out_box="full", work_budget=work_budget)
-    g2 = dual_brute(fs2, out_box="full", work_budget=work_budget)
-    prod = pointwise_mul(g1, g2)
-    lhs = lp_norm(prod, np.inf)
-    rhs = float(
-        np.prod([lp_norm(g, trip.q_float) for g in fs1])
-        * np.prod([lp_norm(g, trip.q_float) for g in fs2])
+    """Sup bound for the product of two dual fields by the q_k norm products,
+    gated on rows rescaled by powers of two like ``product_identity_gap``."""
+    q = exponent_triple(_require_pair(fs1, fs2, "product_bound_gap")).q_float
+    (g1, e1), (g2, e2) = (_dual_brute_unit(fs, "full", work_budget) for fs in (fs1, fs2))
+    lhs = lp_norm(pointwise_mul(g1, g2), np.inf)
+    # a q-norm is homogeneous: rescale each by its row's exponent, exactly
+    q1, q2 = (
+        np.prod([np.ldexp(lp_norm(g, q), -_unit_binade(g.values)[1]) for g in fs])
+        for fs in (fs1, fs2)
     )
+    rhs = float(q1 * q2)
     nonneg = fs1.is_nonnegative() and fs2.is_nonnegative()
     passed = lhs <= rhs * (1.0 + INEQ_SLACK)
+    lhs, rhs = (_scale_back(v, e1 + e2, "dual field product") for v in (lhs, rhs))
     params = instance_params(fs1.k, fs1.dim, fs1.extent, fs1.spacing)
     return check_record("eq5.6-product-bound", lhs, rhs, passed, params, signed=not nonneg)
 

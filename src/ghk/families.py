@@ -33,26 +33,18 @@ def random_function(family, d, N, w, seed):
             hi = int(rng.integers(lo + 1, N + 1))
             sl.append(slice(lo, hi))
         values[tuple(sl)] = 1.0
-    elif family == "tent":
+    elif family in ("tent", "gaussian-bump"):
+        # a product of one profile per axis
         values = np.ones(shape)
+        x = np.arange(N) + 0.5
         for axis in range(d):
-            c = rng.uniform(0.25 * N, 0.75 * N)
-            r = rng.uniform(0.25 * N, 0.6 * N)
-            x = np.arange(N) + 0.5
-            t = np.maximum(0.0, 1.0 - np.abs(x - c) / r)
-            sh = [1] * d
-            sh[axis] = N
-            values = values * t.reshape(sh)
-    elif family == "gaussian-bump":
-        values = np.ones(shape)
-        for axis in range(d):
-            c = rng.uniform(0.3 * N, 0.7 * N)
-            sigma = rng.uniform(N / 8.0, N / 4.0)
-            x = np.arange(N) + 0.5
-            b = np.exp(-0.5 * ((x - c) / sigma) ** 2)
-            sh = [1] * d
-            sh[axis] = N
-            values = values * b.reshape(sh)
+            if family == "tent":
+                c, r = rng.uniform(0.25 * N, 0.75 * N), rng.uniform(0.25 * N, 0.6 * N)
+                t = np.maximum(0.0, 1.0 - np.abs(x - c) / r)
+            else:
+                c, sigma = rng.uniform(0.3 * N, 0.7 * N), rng.uniform(N / 8.0, N / 4.0)
+                t = np.exp(-0.5 * ((x - c) / sigma) ** 2)
+            values = values * t.reshape((N,) + (1,) * (d - 1 - axis))
     elif family == "random-nonneg":
         values = rng.random(shape)
     elif family == "random-signed":

@@ -24,14 +24,15 @@ and ``gowers_inner``, evaluates on its rows rescaled by powers of two
 The recursion here and ``dual.dual_rec`` share one engine,
 ``_shift_product_sum``: every order and dimension is batched the same way,
 shift products that vanish are skipped, and the batches are sized from
-``budget.memory_budget()``. A dual pass pads each axis only as far as its
-output box needs (2N on the frame box) and returns the power sum with the
-field, so the ascent in ``antiuniform`` gets a norm and a dual field from one
-pass.
+``budget.memory_budget()``; what depends only on the shapes and the budget
+is planned once per key (``_plan``). A dual pass pads each axis only as far
+as its output box needs (2N on the frame box) and returns the power sum with
+the field, so the ascent in ``antiuniform`` gets both from one pass.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 
@@ -107,6 +108,53 @@ def _order2_length(lo, hi, m):
     return need + need % 2
 
 
+@functools.lru_cache(maxsize=64)
+def _plan(n, k, out_lo, out_shape, budget):
+    """What :func:`_shift_product_sum` derives from its shapes and the memory
+    budget, once per key (read-only arrays); ``None`` if the box misses the
+    support."""
+    dual = out_shape is not None
+    lo = box = field = gather = None
+    if dual:
+        # the order-k support per axis is [-floor((N-1)/(k-1)),
+        # floor(k(N-1)/(k-1))]: with p_i = y + h_i in [0, N), the full-cube
+        # vertex reads y + sum h_i = sum p_i - (k-1) y
+        lo = tuple(max(l, -((m - 1) // (k - 1))) for l, m in zip(out_lo, n))
+        hi = tuple(
+            min(l + s, k * (m - 1) // (k - 1) + 1)
+            for l, s, m in zip(out_lo, out_shape, n)
+        )
+        if any(a >= b for a, b in zip(lo, hi)):
+            return None
+        box = tuple(b - a for a, b in zip(lo, hi))
+        padded = tuple(_order2_length(a, b, m) for a, b, m in zip(lo, hi, n))
+        field = tuple(slice(a - l, b - l) for a, b, l in zip(lo, hi, out_lo))
+        if min(lo) >= 0:  # the box lies in [0, M): hi <= M by the padding
+            gather = (slice(None),) + tuple(slice(a, b) for a, b in zip(lo, hi))
+        else:
+            gather = (slice(None),) + np.ix_(
+                *[np.arange(a, b) % p for a, b, p in zip(lo, hi, padded)]
+            )
+            for index in gather[1:]:
+                index.flags.writeable = False
+    else:
+        padded = tuple(2 * m for m in n)
+    limit = budget // 64
+    base_rows = max(1, limit // math.prod(padded))
+    row_size = math.prod(n) + (math.prod(box) if dual else 0)
+    # a peel batch is rows times a slab of the first shift axis; the slab is
+    # the whole axis unless the products of one row alone exceed the limit
+    h0, rest = 2 * n[0] - 1, row_size * math.prod(2 * m - 1 for m in n[1:])
+    slab = max(1, min(h0, limit // rest))
+    peel_rows = max(1, limit // (slab * rest))
+    wgt = np.full(padded[-1] // 2 + 1, 2.0)
+    wgt[0] = wgt[-1] = 1.0  # self-conjugate bins of the even last axis
+    wgt.flags.writeable = False
+    # on the frame box the outer factor g(y + h) is the shift window itself
+    own = dual and box == n and not any(lo)
+    return lo, box, padded, base_rows, h0, slab, peel_rows, wgt, field, gather, own
+
+
 def _shift_product_sum(values, k, out_lo=None, out_shape=None):
     """Unweighted order-k shift recursion on the frame of ``values``.
 
@@ -140,32 +188,13 @@ def _shift_product_sum(values, k, out_lo=None, out_shape=None):
     axes = tuple(range(1, d + 1))
     expand = (slice(None),) + (None,) * d
     dual = out_shape is not None
-    if dual:
-        # the order-k support per axis is [-floor((N-1)/(k-1)),
-        # floor(k(N-1)/(k-1))]: with p_i = y + h_i in [0, N), the full-cube
-        # vertex reads y + sum h_i = sum p_i - (k-1) y
-        out = np.zeros(out_shape)
-        lo = tuple(max(l, -((m - 1) // (k - 1))) for l, m in zip(out_lo, n))
-        hi = tuple(
-            min(l + s, k * (m - 1) // (k - 1) + 1)
-            for l, s, m in zip(out_lo, out_shape, n)
-        )
-        if any(a >= b for a, b in zip(lo, hi)):
-            return out, 0.0
-        box = tuple(b - a for a, b in zip(lo, hi))
-        padded = tuple(_order2_length(a, b, m) for a, b, m in zip(lo, hi, n))
-    else:
-        padded = tuple(2 * m for m in n)
-    limit = memory_budget() // 64
-    base_rows = max(1, limit // math.prod(padded))
-    row_size = math.prod(n) + (math.prod(box) if dual else 0)
-    # a peel batch is rows times a slab of the first shift axis; the slab is
-    # the whole axis unless the products of one row alone exceed the limit
-    h0, rest = 2 * n[0] - 1, row_size * math.prod(2 * m - 1 for m in n[1:])
-    slab = max(1, min(h0, limit // rest))
-    peel_rows = max(1, limit // (slab * rest))
+    plan = _plan(n, k, out_lo, out_shape, memory_budget())
+    if plan is None:
+        return np.zeros(out_shape), 0.0
+    lo, box, padded, base_rows, h0, slab, peel_rows, wgt, where, gather, own = plan
 
     def batches(rows, wts, order):
+        # wts None: every row weighs one (the top row)
         step = base_rows if order == 2 else peel_rows
         for s in range(0, len(rows), step):
             g = rows[s : s + step]
@@ -174,38 +203,31 @@ def _shift_product_sum(values, k, out_lo=None, out_shape=None):
                 yield g, w
                 continue
             windows = _shift_windows(g, (0,) * d, n)
-            outer = _shift_windows(g, lo, box) if dual else None
+            outer = windows if own else _shift_windows(g, lo, box) if dual else None
             for t in range(0, h0, slab):
                 prods = (windows[:, t : t + slab] * g[expand]).reshape((-1,) + n)
                 keep = prods.reshape(len(prods), -1).any(axis=1)
                 w_h = None
                 if dual:
-                    w_h = outer[:, t : t + slab] * w[expand]
-                    w_h = w_h.reshape((-1,) + box)
+                    w_h = outer[:, t : t + slab]
+                    w_h = (w_h if w is None else w_h * w[expand]).reshape((-1,) + box)
                     keep &= w_h.reshape(len(w_h), -1).any(axis=1)
                 if not keep.all():
                     prods = prods[keep]
                     w_h = None if w_h is None else w_h[keep]
                 yield from batches(prods, w_h, order - 1)
 
-    wgt = np.full(padded[-1] // 2 + 1, 2.0)
-    wgt[0] = wgt[-1] = 1.0  # self-conjugate bins of the even last axis
     total = 0.0
     if dual:
-        field = out[tuple(slice(a - l, b - l) for a, b, l in zip(lo, hi, out_lo))]
-        if min(lo) >= 0:  # the box lies in [0, M): hi <= M by the padding
-            gather = (slice(None),) + tuple(slice(a, b) for a, b in zip(lo, hi))
-        else:
-            gather = (slice(None),) + np.ix_(
-                *[np.arange(a, b) % p for a, b, p in zip(lo, hi, padded)]
-            )
-    for g, w in batches(values[None], np.ones((1,) + box) if dual else None, k):
+        out = np.zeros(out_shape)
+        field = out[where]
+    for g, w in batches(values[None], None, k):
         spec = np.fft.rfftn(g, s=padded, axes=axes)
         a = spec.real * spec.real + spec.imag * spec.imag
         total += float(np.sum((a * a) @ wgt))
         if dual:
-            z = np.fft.irfftn(spec * a, s=padded, axes=axes)
-            field += np.einsum("i...,i...->...", w, z[gather])
+            z = np.fft.irfftn(spec * a, s=padded, axes=axes)[gather]
+            field += z[0] if w is None else np.einsum("i...,i...->...", w, z)
     power = total / math.prod(padded)
     return (out, power) if dual else power
 

@@ -135,9 +135,7 @@ class SuiteReport:
         out = {}
         for r in self.records:
             if math.isfinite(r.ratio):
-                prev = out.get(r.name)
-                if prev is None or r.ratio > prev:
-                    out[r.name] = r.ratio
+                out[r.name] = max(out.get(r.name, r.ratio), r.ratio)
         return out
 
     @property

@@ -215,9 +215,7 @@ def _chk_decompose(ctx, k, d, seed):
     for delta in ctx.deltas:
         res = decompose(g, k, delta, ctx.opts)
         dk = dual_rec(res.F, k)
-        exact = bool(
-            np.array_equal(dk.values + res.H.values, res.g_normalized.values)
-        )
+        exact = bool(np.array_equal(dk.values + res.H.values, res.g_normalized.values))
         mono = _monotone_tail(res.residual_history)
         ratios = {
             "F_p": res.norms["F_p"] * delta,
@@ -409,11 +407,12 @@ def run_suite(config=None, threads=None, artifacts_dir=None):
     n_threads = threads or 1
 
     def _run(task):
-        name, k, d, seed = task
+        # a record keeps its grids only if it failed
         try:
-            return task, run_check(config, name, k, d, seed)
+            record, grids = run_check(config, *task)
         except BudgetExceededError as err:
             return task, err
+        return task, (record, grids if record.passed is False else None)
 
     if n_threads > 1 and len(tasks) > 1:
         with ThreadPoolExecutor(max_workers=n_threads) as pool:

@@ -166,6 +166,15 @@ class TestDecompose:
             for a, b in zip(hist, hist[1:]):
                 assert b <= a * (1 + 1e-9)
 
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("seed", [75, 76, 77])
+    def test_trail_ends_at_closed_form_residual(self, k, seed):
+        # the ascent gates on its direction; decompose recomputes the defect
+        # from the closed form g - D_k F - p-term(F)
+        res = decompose(rand_grid(seed), k, 0.5)
+        assert res.iterations > 0
+        assert res.stationarity_residual == pytest.approx(res.residual_history[-1], rel=1e-9)
+
     def test_norms_recomputed(self):
         res = decompose(rand_grid(73), 2, 0.5)
         p = exponent_triple(2).p_float

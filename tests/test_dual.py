@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from ghk import (
     shift,
 )
 from ghk.families import random_function, random_tuple
+from ghk.records import IDENTITY_TOL
 
 from oracles import dual_field_oracle
 from test_norms import times_power
@@ -433,3 +436,38 @@ class TestThreeDimensional:
         np.testing.assert_allclose(
             r.values, b.values, rtol=0, atol=1e-12 * np.abs(b.values).max()
         )
+
+
+class TestScaleSafeProducts:
+    """The two product checks evaluate on rows rescaled by powers of two."""
+
+    @staticmethod
+    def pair(t):
+        tuples = [random_tuple("random-nonneg", 2, 1, 3, 1.0, s, punctured=True) for s in (1, 2)]
+        return [FunctionTuple.punctured(2, [scale(f, t) for f in fs]) for fs in tuples]
+
+    @pytest.mark.parametrize("check", [product_identity_gap, product_bound_gap])
+    @pytest.mark.parametrize("t", [1e40, 1e-40])
+    def test_values_scale_with_input(self, check, t):
+        base, rec = check(*self.pair(1.0)), check(*self.pair(t))
+        assert rec.passed
+        assert rec.rhs == pytest.approx(t**6 * base.rhs, rel=1e-12)
+        if check is product_bound_gap:
+            assert rec.lhs == pytest.approx(t**6 * base.lhs, rel=1e-12)
+        else:  # the identity's lhs is a roundoff gap
+            assert rec.lhs <= IDENTITY_TOL * rec.rhs
+
+    @pytest.mark.parametrize("check", [product_identity_gap, product_bound_gap])
+    @pytest.mark.parametrize("j", [133, -133])
+    def test_power_of_two_scales_exactly(self, check, j):
+        # the rows rescale to the same values, so lhs scales bit for bit; the
+        # bound's rhs takes q-norms of the unscaled rows
+        base, rec = check(*self.pair(1.0)), check(*self.pair(2.0**j))
+        assert rec.lhs == math.ldexp(base.lhs, 6 * j)
+        assert rec.rhs == pytest.approx(math.ldexp(base.rhs, 6 * j), rel=1e-12)
+
+    @pytest.mark.parametrize("check", [product_identity_gap, product_bound_gap])
+    @pytest.mark.parametrize("t", [1e60, 1e-60])
+    def test_out_of_range_raises(self, check, t):
+        with pytest.raises(OverflowError, match="outside the normal float64 range"):
+            check(*self.pair(t))

@@ -19,7 +19,8 @@ from ghk import (
     scale,
     shift,
 )
-from ghk.dual import _norm_and_dual
+from ghk.budget import DEFAULT_MEMORY_BUDGET_BYTES, memory_budget, set_memory_budget
+from ghk.dual import _norm_and_dual, dual_brute
 from ghk.exponents import exponent_triple
 from ghk.families import random_function
 from ghk.norms import _clamp_power
@@ -233,6 +234,28 @@ class TestFusedPowerSum:
         u, _ = _norm_and_dual(f.values, f.spacing, 3)
         assert len(small_batches) > 1
         assert u == pytest.approx(gowers_norm_brute(f, 3), rel=1e-12)
+
+
+class TestEnginePlan:
+    """The engine's cached plan is keyed by the memory budget too."""
+
+    @pytest.mark.parametrize("d, n", [(1, 8), (2, 3)])
+    def test_budget_change_resizes_batches(self, small_batches, d, n):
+        # at k=3 a peel feeds many rows to the base, so a small budget splits
+        f, k = rand_grid(23, n=n, d=d, signed=True), 3
+        small = memory_budget()
+        set_memory_budget(DEFAULT_MEMORY_BUDGET_BYTES)
+        gowers_norm_rec(f, k), dual_rec(f, k)
+        set_memory_budget(small)
+        small_batches.clear()
+        u = gowers_norm_rec(f, k)
+        assert len(small_batches) > 1
+        small_batches.clear()
+        field = dual_rec(f, k).values
+        assert len(small_batches) > 1
+        assert u == pytest.approx(gowers_norm_brute(f, k), rel=1e-9)
+        want = dual_brute(FunctionTuple.constant(f, k, punctured=True)).values
+        np.testing.assert_allclose(field, want, rtol=0, atol=1e-9 * np.abs(want).max())
 
 
 def times_power(value, t, deg):

@@ -1,8 +1,10 @@
 import json
+import weakref
 
+import numpy as np
 import pytest
 
-from ghk import bench, records, suite
+from ghk import bench, from_values, records, suite
 from ghk.budget import BudgetExceededError
 from ghk.dual import (
     continuity_modulus,
@@ -169,6 +171,20 @@ class TestRunSuite:
         rep = run_suite(cfg)
         assert len(rep.records) == 2 and rep.all_passed
         assert all(r.runtime_ms > 0.0 for r in rep.records)
+
+    def test_passing_grids_released(self, monkeypatch):
+        # only failing records keep their grids for the artifacts
+        held = []
+
+        def check(ctx, k, d, seed):
+            assert all(ref() is None for ref in held), "a passing check's grids outlived it"
+            g = from_values(np.ones(4), 1.0)
+            held.append(weakref.ref(g))
+            return check_record("held", 1.0, 1.0, True, {"k": k}), {"g": g}
+
+        monkeypatch.setitem(suite.CHECKS, "held", (check, lambda k: True))
+        rep = run_suite({"checks": ["held"], "k": [2], "d": [1], "reps": 3})
+        assert len(held) == 3 and rep.all_passed
 
     def test_empty_config(self):
         rep = run_suite({"checks": [], "reps": 0})
