@@ -92,6 +92,6 @@ def rec_gowers_work(extents, k):
     return shifts * fft_work([2 * int(n) for n in extents])
 
 
-def spectral_work(extents, factor=3):
-    """Cost model for the padded-transform norm route."""
-    return fft_work([factor * int(n) for n in extents])
+def spectral_work(extents):
+    """Cost model for the spectral norm route, padded to 3N per axis."""
+    return fft_work([3 * int(n) for n in extents])

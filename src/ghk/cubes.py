@@ -24,11 +24,6 @@ class VertexSet:
         if self.k < 1:
             raise ValueError(f"vertex set requires k >= 1, got {self.k}")
 
-    @property
-    def members(self):
-        start = 1 if self.punctured else 0
-        return tuple(range(start, 1 << self.k))
-
     def __len__(self):
         return (1 << self.k) - (1 if self.punctured else 0)
 
@@ -42,21 +37,13 @@ class FunctionTuple:
 
     def __init__(self, vertex_set, functions):
         self.vertex_set = vertex_set
-        members = vertex_set.members
-        if isinstance(functions, dict):
-            missing = [a for a in members if a not in functions]
-            if missing:
-                raise ValueError(f"function tuple is missing vertices {missing}")
-            ordered = [functions[a] for a in members]
-        else:
-            ordered = list(functions)
-            if len(ordered) != len(members):
-                raise ValueError(
-                    f"expected {len(members)} functions for k={vertex_set.k}"
-                    f"{' punctured' if vertex_set.punctured else ''},"
-                    f" got {len(ordered)}"
-                )
-        self.functions = tuple(ordered)
+        self.functions = tuple(functions)
+        if len(self.functions) != len(vertex_set):
+            raise ValueError(
+                f"expected {len(vertex_set)} functions for k={vertex_set.k}"
+                f"{' punctured' if vertex_set.punctured else ''},"
+                f" got {len(self.functions)}"
+            )
         self.spacing = self.functions[0].spacing
         self.dim = self.functions[0].dim
 
@@ -77,10 +64,6 @@ class FunctionTuple:
     @property
     def k(self):
         return self.vertex_set.k
-
-    def __getitem__(self, alpha):
-        members = self.vertex_set.members
-        return self.functions[members.index(alpha)]
 
     def __iter__(self):
         return iter(self.functions)

@@ -4,20 +4,21 @@ The order-k dual field of a punctured vertex tuple is
 
     D_k(f_alpha)(x) = sum_h w^(kd) prod_{alpha != 0} f_alpha(x + alpha.h),
 
-a continuous, compactly supported function. Public evaluation defaults to the
-union bounding box of the inputs; checks that take a maximum over *all* x
-evaluate on the provably covering box ``[-(N-1), 2N-1)`` per axis (derived
-from the vertex relation e1 + e2 = e1+e2), where the field's natural support
-ends.
+a continuous, compactly supported function. Each field has two evaluation
+boxes: the frame of its inputs (``out_box=None``, the default), and its
+order-k support (``out_box="full"``), per axis
+``[-floor((N-1)/(k-1)), floor(k(N-1)/(k-1))]`` on a frame of extent ``N``,
+off which it is exactly zero; checks that take a maximum over *all* x
+evaluate on the support. Both routes below take the support box from
+``_resolve_out_box``.
 
 ``dual_rec`` peels the last cube coordinate,
 ``D_k f(x) = w^d sum_h f(x+h) D_(k-1)(f^h f)(x)``, down to an order-2 base
 evaluated by FFT, through the shift-product engine it shares with
 ``norms.gowers_norm_rec``; it matches ``dual_brute`` pointwise to float
-roundoff on all-equal tuples at a fraction of the cost. The engine clips the
-output box to the field's order-k support and pads each axis only as far as
-the clipped box needs: 2N on the frame box, at most about 3N on the covering
-box.
+roundoff on all-equal tuples at a fraction of the cost. The engine pads each
+axis only as far as the box needs: 2N on the frame box, about 3N on the
+support at k=2, less at higher k, whose support is narrower.
 ``_norm_and_dual`` takes the norm and the field on the frame from one pass.
 ``dual_brute`` evaluates on each row rescaled by a power of two, as the
 recursive route does.
@@ -33,6 +34,9 @@ from .cubes import FunctionTuple
 from .exponents import exponent_triple
 from .grid import (
     GridFunction,
+    _check_pow2,
+    _scale_back,
+    _unit_binade,
     add,
     common_frame,
     fourier,
@@ -42,14 +46,7 @@ from .grid import (
     scale,
     shift,
 )
-from .norms import (
-    _check_pow2,
-    _norm_from_power,
-    _scale_back,
-    _shift_product_sum,
-    _unit_binade,
-    _unit_rows,
-)
+from .norms import _norm_from_power, _shift_product_sum, _unit_rows
 from .records import FOURIER_SLACK, IDENTITY_TOL, INEQ_SLACK, check_record, instance_params
 
 
@@ -69,27 +66,28 @@ def _require_pair(fs1, fs2, who):
     return fs1.k
 
 
-def _resolve_out_box(frame_lo, frame_hi, out_box):
-    """Relative evaluation box for a common frame of extents ``n``.
+def _resolve_out_box(n, k, out_box):
+    """Evaluation box ``(lo, shape)`` of an order-k field, relative to a frame
+    of extents ``n``.
 
-    ``None`` selects the frame box itself; ``"full"`` the covering box
-    ``[-(n-1), 2n-1)`` per axis; an explicit ``(lo, hi)`` pair is absolute.
+    ``None`` selects the frame itself; ``"full"`` the field's order-k support:
+    with ``p_i = y + h_i`` in ``[0, N)``, the full-cube vertex reads
+    ``y + sum h_i = sum p_i - (k-1) y``, so per axis
+    ``-floor((N-1)/(k-1)) <= y <= floor(k(N-1)/(k-1))``.
     """
-    n = tuple(h - l for l, h in zip(frame_lo, frame_hi))
     if out_box is None:
         return (0,) * len(n), n
-    if out_box == "full":
-        return tuple(-(na - 1) for na in n), tuple(3 * na - 2 for na in n)
-    lo, hi = out_box
-    rel_lo = tuple(int(l) - fl for l, fl in zip(lo, frame_lo))
-    shp = tuple(int(h) - int(l) for l, h in zip(lo, hi))
-    if any(s < 1 for s in shp):
-        raise ValueError(f"empty output box {out_box}")
-    return rel_lo, shp
+    if out_box != "full":
+        raise ValueError(f"out_box must be None or 'full', got {out_box!r}")
+    if k < 2:
+        raise ValueError("an order-1 field is constant: it has no bounded support")
+    lo = tuple(-((m - 1) // (k - 1)) for m in n)
+    return lo, tuple(k * (m - 1) // (k - 1) + 1 - a for a, m in zip(lo, n))
 
 
 def dual_brute(fs, out_box=None, work_budget=None):
-    """Brute-force cubic convolution product of a punctured tuple."""
+    """Brute-force cubic convolution product of a punctured tuple, on its
+    frame (``out_box=None``) or its order-k support (``out_box="full"``)."""
     unit, e = _dual_brute_unit(fs, out_box, work_budget)
     return GridFunction(_field_from(unit.values, fs.k, e), fs.spacing, unit.origin)
 
@@ -98,8 +96,8 @@ def _dual_brute_unit(fs, out_box, work_budget):
     """``(D_k of fs's rows rescaled by _unit_rows, their exponent sum)``."""
     _require_punctured(fs, "dual_brute")
     lo, hi, stack = fs.stacked()
-    rel_lo, out_shape = _resolve_out_box(lo, hi, out_box)
     extents = tuple(h - l for l, h in zip(lo, hi))
+    rel_lo, out_shape = _resolve_out_box(extents, fs.k, out_box)
     check_work(brute_dual_work(extents, fs.k, out_shape), work_budget)
     rows, e = _unit_rows(stack)
     raw = kernels.dual_field_sum(rows, fs.k, rel_lo, out_shape)
@@ -126,11 +124,10 @@ def dual_rec(f, k, out_box=None):
     k = int(k)
     if k < 2:
         raise ValueError(f"dual_rec requires k >= 2, got {k}")
-    lo, hi = f.box
-    rel_lo, out_shape = _resolve_out_box(lo, hi, out_box)
+    rel_lo, out_shape = _resolve_out_box(f.extents, k, out_box)
     values, e = _unit_binade(f.values)
     raw, _ = _shift_product_sum(values, k, rel_lo, out_shape)
-    origin = tuple(fl + rl for fl, rl in zip(lo, rel_lo))
+    origin = tuple(fl + rl for fl, rl in zip(f.origin, rel_lo))
     # D_k is homogeneous of degree 2^k - 1
     field = _field_from(raw * f.spacing ** (k * f.dim), k, e * ((1 << k) - 1))
     return GridFunction(field, f.spacing, origin)

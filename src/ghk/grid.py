@@ -16,6 +16,7 @@ threads.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -208,14 +209,46 @@ def _lp_norm(values, cell_measure, p):
     if pf < 1.0:
         raise ValueError(f"lp_norm requires p >= 1, got {p}")
     av = np.abs(values)
-    if pf == 1.0:
-        s = float(np.sum(av))
-        return cell_measure * s
-    if pf == 2.0:
-        s = float(np.sum(av * av))
-    else:
-        s = float(np.sum(av ** pf))
-    return (cell_measure * s) ** (1.0 / pf)
+    with np.errstate(over="ignore"):  # an overflowing sum is redone below
+        mass = cell_measure * _power_sum(av, pf)
+    if not (sys.float_info.min <= mass < math.inf) and av.any():
+        # the plain sum left the normal range: sum on av * 2**-e, scale back
+        unit, e = _unit_binade(av)
+        norm = (cell_measure * _power_sum(unit, pf)) ** (1.0 / pf)
+        return _scale_back(norm, e, f"L^{p} norm")
+    return mass if pf == 1.0 else mass ** (1.0 / pf)
+
+
+def _power_sum(av, pf):
+    # sum |f|^p over nonnegative values
+    return float(np.sum(av if pf == 1.0 else av * av if pf == 2.0 else av**pf))
+
+
+def _unit_binade(values):
+    """``(values * 2**-e, e)``, the largest magnitude moved into [0.5, 1).
+
+    A power-of-two scale is exact, so a homogeneous route can evaluate on this
+    copy and scale back; the recursive engine commutes with it bit for bit.
+    """
+    e = math.frexp(float(np.abs(values).max()))[1]
+    return np.ldexp(values, -e), e
+
+
+def _check_pow2(top, e, what):
+    """Raise ``OverflowError`` unless ``top * 2**e`` is zero or a normal float64."""
+    if top and not (
+        math.isfinite(top)
+        and sys.float_info.min_exp <= math.frexp(top)[1] + e <= sys.float_info.max_exp
+    ):
+        raise OverflowError(
+            f"{what} has magnitude {top!r} * 2**{e}, outside the normal float64 range"
+        )
+
+
+def _scale_back(value, e, what):
+    """``value * 2**e``, exactly, or ``OverflowError`` if not a normal float64."""
+    _check_pow2(value, e, what)
+    return math.ldexp(value, e)
 
 
 def inner(f, g):

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 
 import numpy as np
 
@@ -42,7 +41,7 @@ from . import kernels
 from .budget import brute_gowers_work, check_work, memory_budget
 from .cubes import FunctionTuple
 from .exponents import exponent_triple
-from .grid import GridFunction, fourier, lp_norm
+from .grid import GridFunction, _scale_back, _unit_binade, fourier, lp_norm
 from .records import INEQ_SLACK, check_record, instance_params
 
 #: Clamp threshold for negative power-sum accumulations (relative to the
@@ -109,26 +108,14 @@ def _order2_length(lo, hi, m):
 
 
 @functools.lru_cache(maxsize=64)
-def _plan(n, k, out_lo, out_shape, budget):
+def _plan(n, lo, box, budget):
     """What :func:`_shift_product_sum` derives from its shapes and the memory
-    budget, once per key (read-only arrays); ``None`` if the box misses the
-    support."""
-    dual = out_shape is not None
-    lo = box = field = gather = None
+    budget, once per key (read-only arrays)."""
+    dual = box is not None
+    gather = None
     if dual:
-        # the order-k support per axis is [-floor((N-1)/(k-1)),
-        # floor(k(N-1)/(k-1))]: with p_i = y + h_i in [0, N), the full-cube
-        # vertex reads y + sum h_i = sum p_i - (k-1) y
-        lo = tuple(max(l, -((m - 1) // (k - 1))) for l, m in zip(out_lo, n))
-        hi = tuple(
-            min(l + s, k * (m - 1) // (k - 1) + 1)
-            for l, s, m in zip(out_lo, out_shape, n)
-        )
-        if any(a >= b for a, b in zip(lo, hi)):
-            return None
-        box = tuple(b - a for a, b in zip(lo, hi))
+        hi = tuple(a + s for a, s in zip(lo, box))
         padded = tuple(_order2_length(a, b, m) for a, b, m in zip(lo, hi, n))
-        field = tuple(slice(a - l, b - l) for a, b, l in zip(lo, hi, out_lo))
         if min(lo) >= 0:  # the box lies in [0, M): hi <= M by the padding
             gather = (slice(None),) + tuple(slice(a, b) for a, b in zip(lo, hi))
         else:
@@ -152,10 +139,10 @@ def _plan(n, k, out_lo, out_shape, budget):
     wgt.flags.writeable = False
     # on the frame box the outer factor g(y + h) is the shift window itself
     own = dual and box == n and not any(lo)
-    return lo, box, padded, base_rows, h0, slab, peel_rows, wgt, field, gather, own
+    return padded, base_rows, h0, slab, peel_rows, wgt, gather, own
 
 
-def _shift_product_sum(values, k, out_lo=None, out_shape=None):
+def _shift_product_sum(values, k, lo=None, box=None):
     """Unweighted order-k shift recursion on the frame of ``values``.
 
     Each level peels one cube coordinate off a batch of rows: row ``g``
@@ -165,20 +152,17 @@ def _shift_product_sum(values, k, out_lo=None, out_shape=None):
     output box the result is that power sum ``||f||_U(k)^(2^k) / w^((k+1)d)``,
     on a transform padded to 2N per axis.
 
-    With the box ``[out_lo, out_lo + out_shape)`` the result is the pair
-    ``(field, power)``: the field is the dual field ``D_k f / w^(kd)`` there,
-    and ``power`` the same power sum as above, exact whenever the box
-    contains the frame. Each row also carries a weight on the box that every
-    peel multiplies by the outer factor ``g(y + h)``, and the base adds the
-    cubic correlation ``irfft(F |F|^2)``. The box is first clipped to the
-    field's order-k support, off which the field is exactly zero; a box that
-    misses it returns zeros without a transform. Each axis is then padded
-    only as far as the clipped box needs: 2N on the frame box, and on the
-    covering box about 3N at k=2, less at higher k, whose support is narrower.
+    With the box ``[lo, lo + box)``, the frame or the field's order-k support
+    (``dual._resolve_out_box``), the result is the pair ``(field, power)``:
+    the field is the dual field ``D_k f / w^(kd)`` there, and ``power`` the
+    same power sum as above. Each row also carries a weight on the box that
+    every peel multiplies by the outer factor ``g(y + h)``, and the base adds
+    the cubic correlation ``irfft(F |F|^2)``, on a transform padded only as
+    far as the box needs: 2N on the frame, about 3N on the support at k=2.
 
     Rows whose product or weight vanishes are dropped; in the dual mode a row
-    dropped for its weight has a zero product as well when the box contains
-    the frame, which keeps the power sum exact. A batch holds about
+    dropped for its weight has a zero product as well, because both boxes
+    contain the frame, which keeps the power sum exact. A batch holds about
     ``memory_budget() / 64`` padded f64 elements (the transform and its
     temporaries), and never less than one transform row in the base or, in a
     peel, the products of one row at one value of the first shift coordinate.
@@ -187,11 +171,10 @@ def _shift_product_sum(values, k, out_lo=None, out_shape=None):
     d = values.ndim
     axes = tuple(range(1, d + 1))
     expand = (slice(None),) + (None,) * d
-    dual = out_shape is not None
-    plan = _plan(n, k, out_lo, out_shape, memory_budget())
-    if plan is None:
-        return np.zeros(out_shape), 0.0
-    lo, box, padded, base_rows, h0, slab, peel_rows, wgt, where, gather, own = plan
+    dual = box is not None
+    padded, base_rows, h0, slab, peel_rows, wgt, gather, own = _plan(
+        n, lo, box, memory_budget()
+    )
 
     def batches(rows, wts, order):
         # wts None: every row weighs one (the top row)
@@ -218,9 +201,7 @@ def _shift_product_sum(values, k, out_lo=None, out_shape=None):
                 yield from batches(prods, w_h, order - 1)
 
     total = 0.0
-    if dual:
-        out = np.zeros(out_shape)
-        field = out[where]
+    field = np.zeros(box) if dual else None
     for g, w in batches(values[None], None, k):
         spec = np.fft.rfftn(g, s=padded, axes=axes)
         a = spec.real * spec.real + spec.imag * spec.imag
@@ -229,17 +210,7 @@ def _shift_product_sum(values, k, out_lo=None, out_shape=None):
             z = np.fft.irfftn(spec * a, s=padded, axes=axes)[gather]
             field += z[0] if w is None else np.einsum("i...,i...->...", w, z)
     power = total / math.prod(padded)
-    return (out, power) if dual else power
-
-
-def _unit_binade(values):
-    """``(values * 2**-e, e)``, the largest magnitude moved into [0.5, 1).
-
-    A power-of-two scale is exact, and the engine commutes with it bit for
-    bit, so the recursive routes evaluate on this copy and scale back.
-    """
-    e = math.frexp(float(np.abs(values).max()))[1]
-    return np.ldexp(values, -e), e
+    return (field, power) if dual else power
 
 
 def _unit_rows(stack):
@@ -247,23 +218,6 @@ def _unit_rows(stack):
     exponents: the scale of a product that takes one factor per row."""
     rows, exps = zip(*map(_unit_binade, stack))
     return np.stack(rows), sum(exps)
-
-
-def _check_pow2(top, e, what):
-    """Raise ``OverflowError`` unless ``top * 2**e`` is zero or a normal float64."""
-    if top and not (
-        math.isfinite(top)
-        and sys.float_info.min_exp <= math.frexp(top)[1] + e <= sys.float_info.max_exp
-    ):
-        raise OverflowError(
-            f"{what} has magnitude {top!r} * 2**{e}, outside the normal float64 range"
-        )
-
-
-def _scale_back(value, e, what):
-    """``value * 2**e``, exactly, or ``OverflowError`` if not a normal float64."""
-    _check_pow2(value, e, what)
-    return math.ldexp(value, e)
 
 
 def _norm_from_power(value_pow, k, e):

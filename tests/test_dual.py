@@ -21,7 +21,9 @@ from ghk import (
     scale,
     shift,
 )
+from ghk import kernels
 from ghk.families import random_function, random_tuple
+from ghk.grid import embed, union_box
 from ghk.records import IDENTITY_TOL
 
 from oracles import dual_field_oracle
@@ -45,6 +47,21 @@ def assert_rec_matches_brute(f, k, out_box=None):
     scale_ref = max(1e-300, np.abs(b.values).max())
     np.testing.assert_allclose(r.values, b.values, rtol=0, atol=1e-9 * scale_ref)
     return r
+
+
+def assert_full_matches_kernel(f, k, box):
+    """``dual_rec(f, k, "full")``, zero-extended and read on the index box
+    ``box``, against the brute kernel evaluated on that box (the kernel layer
+    still takes any box); returns the values read."""
+    lo, hi = box
+    full = dual_rec(f, k, out_box="full")
+    ulo, uhi = union_box([full.box, box])
+    got = embed(full, ulo, uhi)[tuple(slice(a - u, b - u) for a, b, u in zip(lo, hi, ulo))]
+    rows = np.stack([f.values] * ((1 << k) - 1))
+    rel_lo = tuple(a - o for a, o in zip(lo, f.origin))
+    want = kernels.dual_field_sum(rows, k, rel_lo, got.shape) * f.spacing ** (k * f.dim)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-9 * max(1e-300, np.abs(want).max()))
+    return got
 
 
 class TestDualBrute:
@@ -140,7 +157,7 @@ class TestDualRec:
         f = rand_grid(6, n=6)
         b = dual_brute(equal_tuple(f, 3), out_box="full")
         r = dual_rec(f, 3, out_box="full")
-        assert b.origin == r.origin == (-5,)
+        assert b.origin == r.origin == (-2,)
         scale_ref = np.abs(b.values).max()
         np.testing.assert_allclose(r.values, b.values, rtol=0, atol=1e-9 * scale_ref)
 
@@ -156,7 +173,22 @@ class TestDualRec:
         rng = np.random.default_rng(12)
         assert_rec_matches_brute(from_values(rng.uniform(-1.0, 1.0, shape), 0.25), k)
 
-    # the field of a frame [0, N) vanishes off [-(N-1), 2N-1) per axis
+    # for k >= 3 the "full" box is the narrower per-axis support
+    # [-floor((N-1)/(k-1)), floor(k(N-1)/(k-1))], off which the field is
+    # exactly zero (TestSupportGeometry) and on which a nonnegative input's
+    # field is positive; FFT roundoff must not read as a negative value
+    @pytest.mark.parametrize(
+        "n, k, d", [(5, 3, 1), (7, 3, 1), (6, 4, 1), (4, 3, 2), (6, 5, 1)]
+    )
+    def test_exact_zero_off_order_k_support(self, n, k, d):
+        f = random_function("random-nonneg", d, n, 0.25, 1)
+        r = dual_rec(f, k, out_box="full")
+        assert r.origin == (-((n - 1) // (k - 1)),) * d
+        assert r.extents == (k * (n - 1) // (k - 1) + 1 + (n - 1) // (k - 1),) * d
+        assert not (r.values < 0).any()
+        assert r.values.all()
+
+    # boxes partly outside the support of a frame [0, N)
     @pytest.mark.parametrize(
         "k, d, out_box",
         [
@@ -168,31 +200,13 @@ class TestDualRec:
     )
     def test_box_partly_outside_support(self, k, d, out_box):
         n = 6 if d == 1 else 3
-        r = assert_rec_matches_brute(rand_grid(13, n=n, d=d), k, out_box)
-        assert r.values.any() and not r.values.all()
-
-    # for k >= 3 the field vanishes exactly off the narrower per-axis range
-    # [-floor((N-1)/(k-1)), floor(k(N-1)/(k-1))], where FFT roundoff can read
-    # as a tiny negative value
-    @pytest.mark.parametrize(
-        "n, k, d", [(5, 3, 1), (7, 3, 1), (6, 4, 1), (4, 3, 2), (6, 5, 1)]
-    )
-    def test_exact_zero_off_order_k_support(self, n, k, d):
-        f = random_function("random-nonneg", d, n, 0.25, 1)
-        r = dual_rec(f, k, out_box="full")
-        coords = np.arange(r.extents[0]) + r.origin[0]
-        axis = (coords >= -((n - 1) // (k - 1))) & (coords <= k * (n - 1) // (k - 1))
-        inside = np.ones((), dtype=bool)
-        for _ in range(d):
-            inside = np.multiply.outer(inside, axis)
-        assert not (r.values < 0).any()
-        assert not r.values[~inside].any()
-        assert r.values[inside].all()
+        r = assert_full_matches_kernel(rand_grid(13, n=n, d=d), k, out_box)
+        assert r.any() and not r.all()
 
     @pytest.mark.parametrize("k, out_box", [(3, ((11,), (15,))), (4, ((-12,), (-5,)))])
     def test_box_outside_support_is_zero(self, k, out_box):
-        r = assert_rec_matches_brute(rand_grid(14, n=6), k, out_box)
-        assert not r.values.any()
+        r = assert_full_matches_kernel(rand_grid(14, n=6), k, out_box)
+        assert not r.any()
 
     @pytest.mark.parametrize(
         "k, d, n, out_box", [(3, 1, 8, "full"), (4, 1, 6, None), (3, 2, 3, None)]
@@ -209,9 +223,22 @@ class TestDualRec:
         assert_rec_matches_brute(f, k, out_box="full")
         assert len(small_batches) > 1
 
-    # the padding follows the output box, clipped to the support: boxes along
-    # the last axis that cross the left support edge, lie wholly left of the
-    # support, cross the frame box's padded length 2N, lie right of the
+    # the support box has a negative lower corner: the base gathers it from
+    # a transform padded past both support edges, which no alias reaches
+    FULL_GRID = [(1, 2, 6), (1, 3, 5), (1, 4, 4), (2, 2, 3), (2, 3, 2), (3, 2, 2)]
+
+    @pytest.mark.parametrize("d, k, n", FULL_GRID)
+    def test_full_box_grid(self, d, k, n):
+        assert_rec_matches_brute(rand_grid(16, n=n, d=d, signed=True), k, "full")
+
+    @pytest.mark.parametrize("d, k, n", FULL_GRID)
+    def test_full_box_grid_split(self, small_batches, d, k, n):
+        assert_rec_matches_brute(rand_grid(17, n=n, d=d, signed=True), k, "full")
+        assert len(small_batches) > 1 or k == 2  # k=2 transforms one row
+
+    # boxes around the support that the field was once evaluated on directly:
+    # along the last axis they cross the left support edge, lie wholly left of
+    # the support, cross the frame box's padded length 2N, lie right of the
     # support, and lie far away
     BOXES = {
         "left-edge": lambda n: (-n - 1, 1),
@@ -227,29 +254,34 @@ class TestDualRec:
         return (0,) * (d - 1) + (a,), (n,) * (d - 1) + (b,)
 
     @pytest.mark.parametrize("where", sorted(BOXES))
-    @pytest.mark.parametrize(
-        "d, k, n", [(1, 2, 6), (1, 3, 5), (1, 4, 4), (2, 2, 3), (2, 3, 2), (3, 2, 2)]
-    )
+    @pytest.mark.parametrize("d, k, n", FULL_GRID)
     def test_boxes_around_support(self, d, k, n, where):
         f = rand_grid(16, n=n, d=d, signed=True)
-        r = assert_rec_matches_brute(f, k, self.last_axis_box(n, d, where))
+        r = assert_full_matches_kernel(f, k, self.last_axis_box(n, d, where))
         if where in ("left-edge", "straddle"):
-            assert r.values.any() and not r.values.all()
+            assert r.any() and not r.all()
 
     @pytest.mark.parametrize("where", ["left-edge", "straddle"])
     @pytest.mark.parametrize("d, k, n", [(1, 3, 6), (2, 3, 2)])
     def test_boxes_around_support_split(self, small_batches, d, k, n, where):
         f = rand_grid(17, n=n, d=d, signed=True)
-        assert_rec_matches_brute(f, k, self.last_axis_box(n, d, where))
+        assert_full_matches_kernel(f, k, self.last_axis_box(n, d, where))
         assert len(small_batches) > 1
 
     @pytest.mark.parametrize("k, d", [(2, 1), (3, 2), (4, 3)])
     def test_far_box_takes_no_transform(self, small_batches, k, d):
+        # an explicit box is refused by both routes, before any work
         f = rand_grid(18, n=3, d=d)
-        r = dual_rec(f, k, out_box=self.last_axis_box(3, d, "far"))
-        assert r.extents == (3,) * (d - 1) + (3,)
-        assert not r.values.any()
+        far = self.last_axis_box(3, d, "far")
+        with pytest.raises(ValueError, match="out_box"):
+            dual_rec(f, k, out_box=far)
+        with pytest.raises(ValueError, match="out_box"):
+            dual_brute(equal_tuple(f, k), out_box=far)
         assert small_batches == []
+
+    def test_order_one_has_no_full_box(self):
+        with pytest.raises(ValueError, match="order-1"):
+            dual_brute(equal_tuple(rand_grid(19), 1), out_box="full")
 
     def test_zero(self):
         assert not dual_rec(from_values(np.zeros(5), 1.0), 2).values.any()
@@ -411,14 +443,24 @@ class TestSupportGeometry:
         assert field.box == (lo, hi)
 
     def test_full_box_covers_support(self):
-        f = rand_grid(17, n=5)
-        wide = dual_brute(equal_tuple(f, 2), out_box=((-20,), (25,)))
-        full = dual_brute(equal_tuple(f, 2), out_box="full")
-        # nothing outside the covering box
-        inside = slice(20 - 4, 20 - 4 + full.extents[0])
-        np.testing.assert_array_equal(wide.values[inside], full.values)
-        outside = np.concatenate([wide.values[: 20 - 4], wide.values[20 - 4 + full.extents[0]:]])
-        assert not outside.any()
+        # the plain-loop oracle on a box one cell wider than the support on
+        # every side: exactly zero off the support, and dual_brute's "full"
+        # box on it
+        for k, d, n in [(2, 1, 5), (3, 1, 5), (4, 1, 4), (2, 2, 3), (3, 2, 2), (4, 2, 2)]:
+            fs = random_tuple("random-signed", k, d, n, 0.5, 19, punctured=True)
+            full = dual_brute(fs, out_box="full")
+            lo, hi, stack = fs.stacked()
+            rel_lo = tuple(o - l - 1 for o, l in zip(full.origin, lo))
+            wide = dual_field_oracle(list(stack), k, rel_lo, tuple(e + 2 for e in full.extents))
+            inside = (slice(1, -1),) * d
+            np.testing.assert_allclose(
+                wide[inside] * 0.5 ** (k * d),
+                full.values,
+                rtol=0,
+                atol=1e-12 * np.abs(full.values).max(),
+            )
+            wide[inside] = 0.0
+            assert not wide.any(), (k, d, n)
 
     def test_translation_equivariance(self):
         f = rand_grid(18)

@@ -132,6 +132,36 @@ class TestLpNorm:
         )
 
 
+class TestScaleSafeLpNorm:
+    """Sums that leave the normal float64 range are redone on rescaled values."""
+
+    PS = [1, 4 / 3, 3 / 2, 2, 8 / 3, 4, math.inf]
+
+    @pytest.mark.parametrize("p", PS)
+    @pytest.mark.parametrize(
+        "t, w", [(1e100, 0.25), (1e-100, 0.25), (1e200, 0.25), (-1e200, 1e120), (1e-100, 1e-250)]
+    )
+    def test_scales_or_raises(self, t, w, p):
+        f = rand_grid(8, n=6, w=w)
+        base = lp_norm(f, p)
+        if -1021.0 < math.log2(abs(t)) + math.log2(base) < 1023.0:
+            assert lp_norm(scale(f, t), p) == pytest.approx(abs(t) * base, rel=1e-12)
+        else:
+            with pytest.raises(OverflowError, match="outside the normal float64 range"):
+                lp_norm(scale(f, t), p)
+
+    def test_plain_sum_overflow(self):
+        f = from_values(np.full(4, 1e200), 1.0)
+        assert lp_norm(f, 2) == pytest.approx(2e200, rel=1e-15)
+        assert lp_norm(scale(f, 1e-300), 4) == pytest.approx(4 ** 0.25 * 1e-100, rel=1e-15)
+
+    @pytest.mark.parametrize("t", [1e200, 1e-100])
+    def test_spectrum(self, t):
+        f = rand_grid(9, n=6)
+        base = fourier(f, 12).lp_norm(4)
+        assert fourier(scale(f, t), 12).lp_norm(4) == pytest.approx(t * base, rel=1e-12)
+
+
 class TestShift:
     def test_zero_shift_identity(self):
         f = rand_grid(3)
