@@ -2,7 +2,9 @@
 
 Brute-force correlation sums grow like ``N**((k+1)*d)``; rather than letting a
 mistyped size run for hours, every brute entry point estimates its lattice
-visit count up front and refuses anything above the configured budget.
+visit count up front and refuses anything above the configured budget. The
+dual-field recursion (``dual.dual_rec``, ``norms.gowers_inner``) does the
+same with its transform cost model, ``rec_gowers_work``.
 """
 
 from __future__ import annotations
@@ -85,11 +87,19 @@ def fft_work(lengths):
     return int(total * max(1, math.ceil(math.log2(max(total, 2)))))
 
 
-def rec_gowers_work(extents, k):
-    """Cost model for the shift recursion: ``(2N-1)^((k-2)d)`` padded
-    transforms of length 2N per axis."""
+def rec_gowers_work(extents, k, rows=1, out_extents=None):
+    """Cost model for the shift recursion: ``(2N-1)^((k-2)d)`` order-2 bases,
+    each ``rows`` padded forward transforms (1 for an all-equal tuple, 3 for
+    a general one) of length 2N per axis.
+
+    A dual field (``out_extents`` given) adds one inverse transform per base
+    and pads each axis to at most ``N + out_N``.
+    """
     shifts = math.prod((2 * int(n) - 1) for n in extents) ** max(int(k) - 2, 0)
-    return shifts * fft_work([2 * int(n) for n in extents])
+    if out_extents is None:
+        return shifts * int(rows) * fft_work([2 * int(n) for n in extents])
+    lengths = [int(n) + int(m) for n, m in zip(extents, out_extents)]
+    return shifts * (int(rows) + 1) * fft_work(lengths)
 
 
 def spectral_work(extents):

@@ -12,16 +12,22 @@ off which it is exactly zero; checks that take a maximum over *all* x
 evaluate on the support. Both routes below take the support box from
 ``_resolve_out_box``.
 
-``dual_rec`` peels the last cube coordinate,
-``D_k f(x) = w^d sum_h f(x+h) D_(k-1)(f^h f)(x)``, down to an order-2 base
-evaluated by FFT, through the shift-product engine it shares with
-``norms.gowers_norm_rec``; it matches ``dual_brute`` pointwise to float
-roundoff on all-equal tuples at a fraction of the cost. The engine pads each
-axis only as far as the box needs: 2N on the frame box, about 3N on the
-support at k=2, less at higher k, whose support is narrower.
+``dual_rec`` takes a punctured tuple, or a grid function ``f`` and ``k`` for
+the all-equal tuple, and peels the top cube coordinate,
+
+    D_k(f_alpha)(x) = w^d sum_t f_top(x+t) D_(k-1)(f_b . f_(b|top)(.+t) : b)(x),
+
+down to an order-2 base evaluated by FFT, ``irfftn(F_1 F_2 conj(F_3))``,
+through the shift-product engine it shares with ``norms.gowers_norm_rec``
+and ``norms.gowers_inner``. An all-equal tuple stays all-equal under every
+peel, so the engine carries it as one row with one spectrum. The route
+matches ``dual_brute`` pointwise to float roundoff at a fraction of the
+cost, and every check below evaluates its fields by it; ``dual_brute`` and
+the pair kernel of ``product_identity_gap`` remain the oracles. The engine
+pads each axis only as far as the box needs: 2N on the frame box, about 3N
+on the support at k=2, less at higher k, whose support is narrower.
 ``_norm_and_dual`` takes the norm and the field on the frame from one pass.
-``dual_brute`` evaluates on each row rescaled by a power of two, as the
-recursive route does.
+Both routes evaluate on each row rescaled by a power of two.
 """
 
 from __future__ import annotations
@@ -46,7 +52,7 @@ from .grid import (
     scale,
     shift,
 )
-from .norms import _norm_from_power, _shift_product_sum, _unit_rows
+from .norms import _dual_unit, _norm_from_power, _shift_product_sum, _unit_rows
 from .records import FOURIER_SLACK, IDENTITY_TOL, INEQ_SLACK, check_record, instance_params
 
 
@@ -87,13 +93,8 @@ def _resolve_out_box(n, k, out_box):
 
 def dual_brute(fs, out_box=None, work_budget=None):
     """Brute-force cubic convolution product of a punctured tuple, on its
-    frame (``out_box=None``) or its order-k support (``out_box="full"``)."""
-    unit, e = _dual_brute_unit(fs, out_box, work_budget)
-    return GridFunction(_field_from(unit.values, fs.k, e), fs.spacing, unit.origin)
-
-
-def _dual_brute_unit(fs, out_box, work_budget):
-    """``(D_k of fs's rows rescaled by _unit_rows, their exponent sum)``."""
+    frame (``out_box=None``) or its order-k support (``out_box="full"``),
+    evaluated on its rows rescaled by ``_unit_rows``."""
     _require_punctured(fs, "dual_brute")
     lo, hi, stack = fs.stacked()
     extents = tuple(h - l for l, h in zip(lo, hi))
@@ -102,7 +103,8 @@ def _dual_brute_unit(fs, out_box, work_budget):
     rows, e = _unit_rows(stack)
     raw = kernels.dual_field_sum(rows, fs.k, rel_lo, out_shape)
     origin = tuple(fl + rl for fl, rl in zip(lo, rel_lo))
-    return GridFunction(raw * fs.spacing ** (fs.k * fs.dim), fs.spacing, origin), e
+    field = _field_from(raw * fs.spacing ** (fs.k * fs.dim), fs.k, e)
+    return GridFunction(field, fs.spacing, origin)
 
 
 def _field_from(field, k, e):
@@ -112,25 +114,50 @@ def _field_from(field, k, e):
     return np.ldexp(field, e)
 
 
-def dual_rec(f, k, out_box=None):
-    """Recursive dual field for the all-equal tuple ``f_alpha = f``.
+def dual_rec(f, k=None, out_box=None, work_budget=None):
+    """Recursive dual field of a punctured tuple, or of the all-equal tuple
+    ``f_alpha = f`` of a grid function ``f`` and order ``k``, on its frame
+    (``out_box=None``) or its order-k support (``out_box="full"``).
 
-    Cost is ``(2N)^d`` order-(k-1) fields instead of the ``(2N)^(kd)`` shift
-    sum; general (non-equal) tuples go through :func:`dual_brute`. Evaluated
-    on ``f`` rescaled by a power of two, so the field comes back correctly
-    scaled, or ``OverflowError`` is raised when its largest magnitude is not
-    a normal float64.
+    Cost is ``(2N-1)^((k-2)d)`` order-2 bases of three padded transforms
+    each (one for an all-equal tuple, which the engine carries as one row),
+    instead of the
+    ``(2N)^(kd)`` shift sum of :func:`dual_brute`; the cost model
+    ``budget.rec_gowers_work`` is checked against ``work_budget`` first.
+    Evaluated on each row rescaled by a power of two, so the field comes back
+    correctly scaled, or ``OverflowError`` is raised when its largest
+    magnitude is not a normal float64.
     """
-    k = int(k)
-    if k < 2:
-        raise ValueError(f"dual_rec requires k >= 2, got {k}")
-    rel_lo, out_shape = _resolve_out_box(f.extents, k, out_box)
-    values, e = _unit_binade(f.values)
-    raw, _ = _shift_product_sum(values, k, rel_lo, out_shape)
-    origin = tuple(fl + rl for fl, rl in zip(f.origin, rel_lo))
-    # D_k is homogeneous of degree 2^k - 1
-    field = _field_from(raw * f.spacing ** (k * f.dim), k, e * ((1 << k) - 1))
-    return GridFunction(field, f.spacing, origin)
+    if isinstance(f, FunctionTuple):
+        _require_punctured(f, "dual_rec")
+        if k is not None and int(k) != f.k:
+            raise ValueError(f"dual_rec got k={k} for a tuple of order {f.k}")
+        fs = f
+    else:
+        if k is None:
+            raise TypeError("dual_rec needs the order k of a grid function")
+        fs = FunctionTuple.constant(f, int(k), punctured=True)
+    return _dual_field(fs, out_box, work_budget)
+
+
+def _dual_field(fs, out_box=None, work_budget=None):
+    """:func:`dual_rec` of a punctured tuple. The checks take this route: the
+    span that ``perfbench/tracer.py`` meters as ``dual.dual_rec`` reads a
+    grid function and its ``k``."""
+    unit, e = _dual_rec_unit(fs, out_box, work_budget)
+    return GridFunction(_field_from(unit.values, fs.k, e), fs.spacing, unit.origin)
+
+
+def _dual_rec_unit(fs, out_box, work_budget):
+    """``(D_k of fs's rows rescaled by powers of two, their exponent sum)``
+    by the recursion, as a grid function on the resolved box."""
+    if fs.k < 2:
+        raise ValueError(f"dual_rec requires k >= 2, got {fs.k}")
+    lo, _, stack = fs.stacked()
+    rel_lo, out_shape = _resolve_out_box(stack.shape[1:], fs.k, out_box)
+    raw, e = _dual_unit(stack, fs.k, rel_lo, out_shape, work_budget)
+    origin = tuple(fl + rl for fl, rl in zip(lo, rel_lo))
+    return GridFunction(raw * fs.spacing ** (fs.k * fs.dim), fs.spacing, origin), e
 
 
 def _norm_and_dual(values, spacing, k):
@@ -142,7 +169,7 @@ def _norm_and_dual(values, spacing, k):
     frame box contains the frame.
     """
     scaled, e = _unit_binade(values)
-    raw, power = _shift_product_sum(scaled, k, (0,) * scaled.ndim, scaled.shape)
+    raw, power = _shift_product_sum(scaled[None], k, (0,) * scaled.ndim, scaled.shape)
     return (
         _norm_from_power(power * spacing ** ((k + 1) * scaled.ndim), k, e),
         _field_from(raw * spacing ** (k * scaled.ndim), k, e * ((1 << k) - 1)),
@@ -158,7 +185,7 @@ def lemma1_gap(fs, work_budget=None):
     """Sup-norm domination of the dual field by the product of L^q_k norms."""
     _require_punctured(fs, "lemma1_gap")
     trip = exponent_triple(fs.k)
-    field = dual_brute(fs, out_box="full", work_budget=work_budget)
+    field = _dual_field(fs, "full", work_budget)
     nonneg = fs.is_nonnegative()
     lhs = float(np.max(field.values)) if nonneg else float(np.max(np.abs(field.values)))
     lhs = max(lhs, 0.0)
@@ -179,7 +206,7 @@ def continuity_modulus(fs, v, work_budget=None):
         v = (v,) * fs.dim
     v = tuple(int(c) for c in v)
     trip = exponent_triple(fs.k)
-    field = dual_brute(fs, out_box="full", work_budget=work_budget)
+    field = _dual_field(fs, "full", work_budget)
     diff = add(field, scale(shift(field, v), -1.0))
     lhs = lp_norm(diff, np.inf)
     qnorms = [lp_norm(g, trip.q_float) for g in fs]
@@ -205,7 +232,7 @@ def product_identity_gap(fs1, fs2, work_budget=None):
     ``lhs``/``rhs`` are scaled back or raise ``OverflowError``.
     """
     k = _require_pair(fs1, fs2, "product_identity_gap")
-    (g1, e1), (g2, e2) = (_dual_brute_unit(fs, None, work_budget) for fs in (fs1, fs2))
+    (g1, e1), (g2, e2) = (_dual_rec_unit(fs, None, work_budget) for fs in (fs1, fs2))
     lhs_field = pointwise_mul(g1, g2)
     box = intersection_box([g1.box, g2.box])
     if box is None:
@@ -232,7 +259,7 @@ def product_bound_gap(fs1, fs2, work_budget=None):
     """Sup bound for the product of two dual fields by the q_k norm products,
     gated on rows rescaled by powers of two like ``product_identity_gap``."""
     q = exponent_triple(_require_pair(fs1, fs2, "product_bound_gap")).q_float
-    (g1, e1), (g2, e2) = (_dual_brute_unit(fs, "full", work_budget) for fs in (fs1, fs2))
+    (g1, e1), (g2, e2) = (_dual_rec_unit(fs, "full", work_budget) for fs in (fs1, fs2))
     lhs = lp_norm(pointwise_mul(g1, g2), np.inf)
     # a q-norm is homogeneous: rescale each by its row's exponent, exactly
     q1, q2 = (
@@ -258,7 +285,7 @@ def fourier_bound_gap(fs, work_budget=None):
     if fs.k < 3:
         raise ValueError(f"fourier_bound_gap requires k >= 3, got {fs.k}")
     trip = exponent_triple(fs.k)
-    g = dual_brute(fs, work_budget=work_budget)
+    g = _dual_field(fs, "full", work_budget)
     spec = fourier(g, tuple(2 * n for n in g.extents))
     lhs = spec.lp_norm(trip.p_float)
     rhs = float(np.prod([lp_norm(f, trip.p_float) for f in fs]))

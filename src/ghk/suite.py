@@ -23,6 +23,7 @@ from . import __version__
 from .antiuniform import AscentOptions, corollary5, decompose, dual_norm_lower
 from .budget import BudgetExceededError
 from .dual import (
+    _dual_field,
     continuity_modulus,
     dual_brute,
     dual_rec,
@@ -67,6 +68,7 @@ DEFAULT_CONFIG = {
         "eq5.4-product-identity": 25,
         "eq5.7-fourier": 25,
         "oracle-norm": 50,
+        "oracle-dual-tuple": 25,
         "spectral-u2": 50,
         "duality-identity": 50,
         "eq5.2-continuity": 50,
@@ -174,7 +176,7 @@ def _chk_lemma2(ctx, k, d, seed):
     if hu > 0:
         h = scale(h, 1.0 / hu)
     grids["h"] = h
-    lhs = inner(dual_brute(fs, work_budget=ctx.work_budget), h)
+    lhs = inner(_dual_field(fs, None, ctx.work_budget), h)
     rhs = float(np.prod([gowers_norm_rec(f, k) for f in fs]))
     rhs2 = float(np.prod([lp_norm(f, exponent_triple(k).p_float) for f in fs]))
     passed = lhs <= rhs * (1.0 + INEQ_SLACK) and rhs <= rhs2 * (1.0 + INEQ_SLACK)
@@ -302,6 +304,22 @@ def _chk_oracle(ctx, k, d, seed):
     return check_record("oracle-norm", recv, brute, passed, params), {"f": f}
 
 
+def _chk_oracle_dual_tuple(ctx, k, d, seed):
+    n = ctx.size(k, d, (8, 5), (4, 3))
+    family = _alternating_family(seed)
+    out_box = "full" if seed // 2 % 2 else None
+    fs = random_tuple(family, k, d, n, ctx.w, seed, punctured=True)
+    recv = _dual_field(fs, out_box, ctx.work_budget)
+    brute = dual_brute(fs, out_box, ctx.work_budget)
+    same_box = recv.box == brute.box
+    diff = float(np.max(np.abs(recv.values - brute.values))) if same_box else np.inf
+    scale_ref = float(np.max(np.abs(brute.values)))
+    passed = diff <= ORACLE_TOL * max(1.0, scale_ref)
+    params = instance_params(k, d, n, ctx.w, family=family, out_box=out_box or "frame")
+    rec = check_record("oracle-dual-tuple", diff, scale_ref, passed, params)
+    return rec, {f"f_{i}": g for i, g in enumerate(fs)}
+
+
 def _chk_spectral(ctx, k, d, seed):
     n = ctx.size(k, d, (12, 12), (6, 6))
     family = _alternating_family(seed)
@@ -330,6 +348,7 @@ CHECKS = {
     "eq5.7-fourier": (_chk_fourier, lambda k: k == 3),
     "duality-identity": (_chk_duality, lambda k: True),
     "oracle-norm": (_chk_oracle, lambda k: True),
+    "oracle-dual-tuple": (_chk_oracle_dual_tuple, lambda k: True),
     "spectral-u2": (_chk_spectral, lambda k: k == 2),
 }
 
@@ -344,7 +363,11 @@ def resolved_config(config=None):
 
 
 def run_check(config, name, k, d, seed):
-    """Replay a single record from its coordinates, bit-identically."""
+    """Replay a single record from its coordinates, bit-identically.
+
+    Returns ``(record, grids)``; ``grids`` holds the instance's input grids
+    only when the record failed, and is ``None`` otherwise.
+    """
     if name not in CHECKS:
         raise ValueError(f"unknown check {name!r}")
     fn, applicable = CHECKS[name]
@@ -355,7 +378,7 @@ def run_check(config, name, k, d, seed):
     record, grids = fn(ctx, k, d, seed)
     record.seed = seed
     record.runtime_ms = 1e3 * (time.perf_counter() - t0)
-    return record, grids
+    return record, grids if record.passed is False else None
 
 
 def _write_failure_artifacts(directory, record, grids):
@@ -407,12 +430,10 @@ def run_suite(config=None, threads=None, artifacts_dir=None):
     n_threads = threads or 1
 
     def _run(task):
-        # a record keeps its grids only if it failed
         try:
-            record, grids = run_check(config, *task)
+            return task, run_check(config, *task)
         except BudgetExceededError as err:
             return task, err
-        return task, (record, grids if record.passed is False else None)
 
     if n_threads > 1 and len(tasks) > 1:
         with ThreadPoolExecutor(max_workers=n_threads) as pool:

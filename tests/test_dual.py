@@ -304,6 +304,101 @@ class TestDualRec:
             assert abs(pair - want) <= 1e-9 * max(want, 1e-300)
 
 
+class TestDualTuple:
+    """``dual_rec`` of a general punctured tuple: the shift-product engine
+    peels a stack of vertex rows, against ``dual_brute``."""
+
+    GRID = [
+        (1, 2, 6), (1, 3, 5), (1, 4, 4), (2, 2, 3), (2, 3, 2), (2, 4, 2), (3, 2, 2), (3, 3, 2),
+    ]
+
+    @staticmethod
+    def assert_matches_brute(fs, out_box):
+        b = dual_brute(fs, out_box=out_box)
+        r = dual_rec(fs, out_box=out_box)
+        assert r.box == b.box
+        scale_ref = max(1e-300, np.abs(b.values).max())
+        np.testing.assert_allclose(r.values, b.values, rtol=0, atol=1e-12 * scale_ref)
+
+    @pytest.mark.parametrize("out_box", [None, "full"])
+    @pytest.mark.parametrize("family", ["random-signed", "random-nonneg"])
+    @pytest.mark.parametrize("d, k, n", GRID)
+    def test_matches_brute(self, d, k, n, family, out_box):
+        fs = random_tuple(family, k, d, n, 0.25, 31, punctured=True)
+        self.assert_matches_brute(fs, out_box)
+
+    @pytest.mark.parametrize("out_box", [None, "full"])
+    @pytest.mark.parametrize("family", ["random-signed", "random-nonneg"])
+    @pytest.mark.parametrize("d, k, n", [(1, 3, 6), (1, 4, 4), (2, 3, 2), (3, 3, 2)])
+    def test_split_batches_match_brute(self, small_batches, d, k, n, family, out_box):
+        fs = random_tuple(family, k, d, n, 0.25, 32, punctured=True)
+        self.assert_matches_brute(fs, out_box)
+        assert len(small_batches) > 1
+
+    def test_mixed_boxes(self):
+        # members on different boxes are embedded into the common frame
+        f, g = rand_grid(33, n=5), shift(rand_grid(34, n=3, signed=True), 2)
+        fs = FunctionTuple.punctured(3, [f, g, f, g, g, f, f])
+        for out_box in (None, "full"):
+            self.assert_matches_brute(fs, out_box)
+
+    def test_sparse_members(self):
+        # a vanishing member, and members whose shift products mostly vanish
+        ind = random_function("indicator-box", 1, 8, 0.25, 1)
+        fs = random_tuple("random-signed", 3, 1, 8, 0.25, 35, punctured=True)
+        rows = list(fs)
+        rows[2], rows[5] = ind, ind
+        self.assert_matches_brute(FunctionTuple.punctured(3, rows), "full")
+        rows[6] = scale(ind, 0.0)
+        assert not dual_rec(FunctionTuple.punctured(3, rows)).values.any()
+
+    @pytest.mark.parametrize("out_box", [None, "full"])
+    @pytest.mark.parametrize("d, k, n", [(1, 2, 8), (1, 3, 6), (1, 4, 4), (2, 3, 3), (3, 2, 3)])
+    def test_all_equal_tuple_is_one_row(self, small_batches, d, k, n, out_box):
+        # bit for bit the grid form, with its forward transform count
+        f = rand_grid(36, n=n, d=d, signed=True)
+        want = dual_rec(f, k, out_box)
+        transforms = len(small_batches)
+        small_batches.clear()
+        got = dual_rec(equal_tuple(f, k), out_box=out_box)
+        assert len(small_batches) == transforms
+        assert got.origin == want.origin and np.array_equal(got.values, want.values)
+
+    def test_scales_per_row(self):
+        # each pair of rows overflows alone, the field does not
+        fs = random_tuple("random-nonneg", 2, 1, 5, 0.25, 37, punctured=True)
+        big = FunctionTuple.punctured(2, [scale(g, t) for g, t in zip(fs, (1e200, 1e200, 1e-300))])
+        want = dual_rec(fs).values * 1e200 * (1e200 * 1e-300)
+        np.testing.assert_allclose(dual_rec(big).values, want, rtol=1e-13)
+
+    def test_entry_arguments(self):
+        fs = random_tuple("random-nonneg", 3, 1, 4, 0.25, 38, punctured=True)
+        assert np.array_equal(dual_rec(fs, 3).values, dual_rec(fs).values)
+        with pytest.raises(ValueError, match="order 3"):
+            dual_rec(fs, 2)
+        with pytest.raises(TypeError, match="order k"):
+            dual_rec(rand_grid(39))
+        with pytest.raises(ValueError, match="punctured"):
+            dual_rec(random_tuple("random-nonneg", 2, 1, 4, 0.25, 38))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda fs, b: dual_rec(fs, out_box="full", work_budget=b),
+            lambda fs, b: lemma1_gap(fs, work_budget=b),
+            lambda fs, b: continuity_modulus(fs, 1, work_budget=b),
+            lambda fs, b: product_bound_gap(fs, fs, work_budget=b),
+            lambda fs, b: fourier_bound_gap(fs, work_budget=b),
+        ],
+        ids=["dual_rec", "lemma1", "continuity", "product-bound", "fourier"],
+    )
+    def test_budget_guard_before_any_transform(self, small_batches, call):
+        fs = random_tuple("random-signed", 3, 1, 6, 0.25, 40, punctured=True)
+        with pytest.raises(BudgetExceededError):
+            call(fs, 1000)
+        assert small_batches == []
+
+
 class TestLemma1:
     def test_indicator_peak(self):
         # sup of the order-2 dual field of unit indicators is exactly 3/4

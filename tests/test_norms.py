@@ -22,7 +22,8 @@ from ghk import (
 from ghk.budget import DEFAULT_MEMORY_BUDGET_BYTES, memory_budget, set_memory_budget
 from ghk.dual import _norm_and_dual, dual_brute
 from ghk.exponents import exponent_triple
-from ghk.families import random_function
+from ghk import kernels
+from ghk.families import random_function, random_tuple
 from ghk.norms import _clamp_power
 
 from oracles import gowers_sum_oracle
@@ -367,6 +368,36 @@ class TestGowersInner:
             [x for x in fs.stacked()[2]], 2
         )
         assert gowers_inner(fs) == pytest.approx(f.spacing ** 3 * raw, rel=1e-12)
+
+
+class TestInnerPairing:
+    """``gowers_inner`` pairs ``f_0`` with the engine's field of the other
+    members; the brute kernel and the plain-loop oracle sum every flat term."""
+
+    @pytest.mark.parametrize("family", ["random-signed", "random-nonneg"])
+    @pytest.mark.parametrize(
+        "d, k, n", [(1, 1, 5), (1, 2, 6), (1, 3, 4), (1, 4, 3), (2, 2, 3), (2, 3, 2), (3, 2, 2)]
+    )
+    def test_matches_brute_kernel(self, d, k, n, family):
+        fs = random_tuple(family, k, d, n, 0.25, 41)
+        rows = fs.stacked()[2]
+        want = kernels.gowers_sum(rows, k)[0] * 0.25 ** ((k + 1) * d)
+        scale_ref = kernels.gowers_sum(np.abs(rows), k)[0] * 0.25 ** ((k + 1) * d)
+        assert abs(gowers_inner(fs) - want) <= 1e-13 * scale_ref
+
+    @pytest.mark.parametrize("d, k, n", [(1, 2, 4), (1, 3, 3), (2, 2, 2)])
+    def test_matches_plain_loop_oracle(self, d, k, n):
+        fs = random_tuple("random-signed", k, d, n, 0.5, 42)
+        raw = gowers_sum_oracle(list(fs.stacked()[2]), k)
+        assert gowers_inner(fs) == pytest.approx(0.5 ** ((k + 1) * d) * raw, rel=1e-12)
+
+    def test_budget_guard_before_any_transform(self, small_batches):
+        fs = random_tuple("random-signed", 3, 1, 6, 0.25, 43)
+        with pytest.raises(BudgetExceededError):
+            gowers_inner(fs, work_budget=1000)
+        with pytest.raises(BudgetExceededError):
+            csg_gap(fs, work_budget=1000)
+        assert small_batches == []
 
 
 class TestCsgGap:

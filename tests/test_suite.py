@@ -226,30 +226,36 @@ class TestReplay:
         with pytest.raises(ValueError, match="does not apply"):
             run_check(None, "eq5.7-fourier", 2, 1, 0)
 
-    def test_returns_grids(self):
-        _, grids = run_check(SMALL_CONFIG, "eq2.1-lemma1", 2, 1, 5)
-        assert len(grids) == 3
+    def test_returns_grids(self, monkeypatch):
+        # the input grids come back with a failed record only
+        rec, grids = run_check(SMALL_CONFIG, "eq2.1-lemma1", 2, 1, 5)
+        assert rec.passed and grids is None
+        monkeypatch.setitem(CHECKS, "stub-fail", (failing_check, lambda k: k == 2))
+        rec, grids = run_check(SMALL_CONFIG, "stub-fail", 2, 1, 5)
+        assert rec.passed is False and list(grids) == ["g"]
+
+
+def failing_check(ctx, k, d, seed):
+    """A stub check whose one record always fails."""
+    from ghk.families import random_function
+    from ghk.records import CheckRecord as CR
+
+    g = random_function("random-nonneg", d, 4, 0.25, seed)
+    rec = CR(
+        name="stub-fail",
+        lhs=2.0,
+        rhs=1.0,
+        ratio=2.0,
+        passed=False,
+        params={"k": k, "d": d, "N": 4, "w": 0.25},
+    )
+    return rec, {"g": g}
 
 
 class TestFailureArtifacts:
     def test_artifacts_written(self, tmp_path, monkeypatch):
         # force one failing record through a stub check
-        from ghk.families import random_function
-        from ghk.records import CheckRecord as CR
-
-        def failing(ctx, k, d, seed):
-            g = random_function("random-nonneg", d, 4, 0.25, seed)
-            rec = CR(
-                name="stub-fail",
-                lhs=2.0,
-                rhs=1.0,
-                ratio=2.0,
-                passed=False,
-                params={"k": k, "d": d, "N": 4, "w": 0.25},
-            )
-            return rec, {"g": g}
-
-        monkeypatch.setitem(CHECKS, "stub-fail", (failing, lambda k: k == 2))
+        monkeypatch.setitem(CHECKS, "stub-fail", (failing_check, lambda k: k == 2))
         cfg = {"checks": ["stub-fail"], "k": [2], "d": [1], "reps": 1, "base_seed": 9}
         rep = run_suite(cfg, threads=1, artifacts_dir=str(tmp_path))
         assert not rep.all_passed
