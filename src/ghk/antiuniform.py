@@ -36,28 +36,46 @@ By homogeneity the ascent direction ``g - C grad(f*)`` is the stationarity
 defect, so the residual is the direction's L^s_k norm, and an accepted step
 carries its direction into the next iteration. The loop works on bare frame
 arrays and builds grid functions only for what it returns.
+
+The step rule is where the passes go. The first trial of every iteration
+after the first is the Barzilai-Borwein step ``|df|^2 / |<df, dgrad>|`` of
+the last accepted pair of iterates and directions (Barzilai and Borwein,
+IMA J. Numer. Anal. 8, 1988), which the loop already holds, so it costs no
+pass; a rejected trial halves. Since BB steps gain unevenly, the ascent
+stops only after two consecutive accepted steps each gain at most
+``rel_tol`` of the objective.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .budget import check_work, rec_gowers_work
 from .dual import _norm_and_dual
 from .exponents import exponent_triple
 from .grid import GridFunction, _lp_norm, common_frame, embed, inner, lp_norm, scale
 from .norms import gowers_norm_rec
 
-#: First trial step of the ascent, and the cap on every later first step.
+#: First trial step of the ascent; every later first trial is a
+#: Barzilai-Borwein step.
 STEP_INIT = 1.0
 #: Factor that shrinks a rejected trial step.
 BACKTRACK = 0.5
+#: A trial step that shrinks to this ends the ascent as converged.
+STEP_MIN = 1e-16
 
 
 @dataclass(frozen=True)
 class AscentOptions:
-    """Knobs for the backtracking gradient ascent."""
+    """Knobs for the backtracking gradient ascent.
+
+    ``max_iters`` caps the accepted steps. The ascent stops as converged after
+    two consecutive accepted steps that each gain at most ``rel_tol`` times
+    the objective, or when a trial step shrinks to ``STEP_MIN``.
+    """
 
     max_iters: int = 500
     rel_tol: float = 1e-8
@@ -71,12 +89,17 @@ class AscentOptions:
 
 @dataclass
 class DualNormEstimate:
-    """Certified lower bound: ``value = <g, witness>`` with unit-ball witness."""
+    """Certified lower bound: ``value = <g, witness>`` with unit-ball witness.
+
+    ``iterations`` counts accepted steps and ``passes`` the engine passes the
+    ascent took, seeds included.
+    """
 
     value: float
     witness: GridFunction
     iterations: int
     converged: bool
+    passes: int
 
 
 @dataclass
@@ -86,7 +109,8 @@ class DecompositionResult:
     ``norms`` carries the recomputed ``F_p``, ``F_U`` and ``H_s``;
     ``residual_history`` the per-accepted-iterate stationarity defect
     (non-increasing by the acceptance rule); ``diagnostics`` the
-    normalization scale and bound targets.
+    normalization scale, bound targets and ``passes``, the engine passes of
+    the whole call (both ascents, seeds included, and the one for ``F``).
     """
 
     F: GridFunction
@@ -188,23 +212,37 @@ def _direction(gv, fv, val, dual_vals, ball):
     return grad
 
 
+def _bb_step(df, dgrad, fallback):
+    """The Barzilai-Borwein step ``|df|^2 / |<df, dgrad>|`` of the last
+    accepted pair of iterates and directions, or ``fallback`` where that
+    ratio is undefined or not finite."""
+    curv = abs(float(np.vdot(df, dgrad)))
+    step = float(np.vdot(df, df)) / curv if curv > 0.0 else math.inf
+    return step if 0.0 < step < math.inf else fallback
+
+
 def _ascend(g, k, ball, opts, candidates):
     """Backtracking ascent of ``<g, f>`` over the ball norm of ``f`` from the
     best seed.
 
     The objective is strictly monotone over accepted steps; when the ball is
     gated, acceptance additionally requires the stationarity residual not to
-    increase, so the recorded residual trail is non-increasing. Every seed
-    and every trial step costs one engine pass, which gives its U(k) norm and
-    its dual field together; the loop works on frame arrays. Returns
-    ``(f, val, iterations, converged, history)`` with ``f`` of unit ball norm
-    and history entries ``(value, residual-or-None, U(k) norm)``, one per
-    iterate.
+    increase, so the recorded residual trail is non-increasing. Each
+    iteration's first trial step is the Barzilai-Borwein step of the last
+    accepted pair, and the ascent stops after two consecutive accepted steps
+    that each gain at most ``rel_tol * |value|``. Every seed and every trial
+    step costs one engine pass, which gives its U(k) norm and its dual field
+    together; the loop works on frame arrays. The engine's cost model for one
+    pass on the frame is checked against the default work budget first.
+    Returns ``(f, val, iterations, converged, history, passes)`` with ``f``
+    of unit ball norm, history entries ``(value, residual-or-None, U(k)
+    norm)``, one per iterate, and ``passes`` the engine passes taken.
     """
     if not np.any(g.values):
         raise ValueError("the dual-norm objective needs a nonzero g")
 
     frame_lo, _, stack = common_frame([g] + _seeds(g, k, candidates))
+    check_work(rec_gowers_work(stack.shape[1:], k, out_extents=stack.shape[1:]))
     gv, w, cell, two_k = stack[0], g.spacing, g.cell_measure, ball.two_k
 
     best = None
@@ -226,14 +264,17 @@ def _ascend(g, k, ball, opts, candidates):
     grad = _direction(gv, f, val, dual_f, ball)
     resid = _lp_norm(grad, cell, ball.s) if ball.gated else None
     history = [(val, resid, u_f)]
+    passes = len(stack) - 1
     step = STEP_INIT
     iterations = 0
+    small_gains = 0
     converged = False
     for _ in range(opts.max_iters):
         s = step
-        while s > 1e-16 * STEP_INIT:
+        while s > STEP_MIN:
             trial = _require_finite(f + s * grad)
             u, dual = _norm_and_dual(trial, w, ball.k)
+            passes += 1
             nrm = ball.norm_from(trial, u)
             if nrm > 0.0:
                 val_try = cell * float(np.sum(gv * trial)) / nrm
@@ -244,6 +285,7 @@ def _ascend(g, k, ball, opts, candidates):
                     # the gated residual is the direction's L^s norm
                     resid_try = _lp_norm(grad_try, cell, ball.s) if ball.gated else None
                     if not ball.gated or not resid_try > resid * (1.0 + 1e-12):
+                        step = _bb_step(f_try - f, grad_try - grad, s / BACKTRACK)
                         prev, f, val, u_f = val, f_try, val_try, u / nrm
                         dual_f, grad, resid = dual_try, grad_try, resid_try
                         break
@@ -253,11 +295,11 @@ def _ascend(g, k, ball, opts, candidates):
             break
         iterations += 1
         history.append((val, resid, u_f))
-        step = min(s / BACKTRACK, STEP_INIT)
-        if val - prev <= opts.rel_tol * abs(val):
+        small_gains = small_gains + 1 if val - prev <= opts.rel_tol * abs(val) else 0
+        if small_gains == 2:
             converged = True
             break
-    return GridFunction(f, w, frame_lo), val, iterations, converged, history
+    return GridFunction(f, w, frame_lo), val, iterations, converged, history, passes
 
 
 def dual_norm_lower(g, k, opts=None, candidates=()):
@@ -268,17 +310,17 @@ def dual_norm_lower(g, k, opts=None, candidates=()):
     at least the objective of every seed.
     """
     ball, opts = _UniformityBall(k), opts or AscentOptions()
-    f, _, iterations, converged, history = _ascend(g, k, ball, opts, candidates)
+    f, _, iterations, converged, history, passes = _ascend(g, k, ball, opts, candidates)
     witness = scale(f, 1.0 / history[-1][2])
-    return DualNormEstimate(inner(g, witness), witness, iterations, converged)
+    return DualNormEstimate(inner(g, witness), witness, iterations, converged, passes)
 
 
 def triple_dual_lower(g, k, delta, opts=None, candidates=()):
     """Certified lower bound on the dual of the blend norm."""
     ball, opts = _BlendBall(k, delta, g.cell_measure), opts or AscentOptions()
-    f, _, iterations, converged, _ = _ascend(g, k, ball, opts, candidates)
+    f, _, iterations, converged, _, passes = _ascend(g, k, ball, opts, candidates)
     witness = scale(f, 1.0 / ball.norm(f))
-    return DualNormEstimate(inner(g, witness), witness, iterations, converged)
+    return DualNormEstimate(inner(g, witness), witness, iterations, converged, passes)
 
 
 def decompose(g, k, delta, opts=None, dual_candidates=()):
@@ -306,7 +348,7 @@ def decompose(g, k, delta, opts=None, dual_candidates=()):
     g1 = scale(g, 1.0 / base.value)
 
     ball = _BlendBall(k, delta, g.cell_measure)
-    f, val, iterations, converged, history = _ascend(
+    f, val, iterations, converged, history, passes = _ascend(
         g1, k, ball, opts, dual_candidates
     )
 
@@ -349,6 +391,7 @@ def decompose(g, k, delta, opts=None, dual_candidates=()):
         "first_stage_value": base.value,
         "u_correction": u_corr,
         "converged": converged,
+        "passes": base.passes + passes + 1,
         "delta": delta,
         "k": k,
         "bounds": {"F_p": 1.0 / delta, "F_U": 1.0, "H_s": delta},

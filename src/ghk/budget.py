@@ -3,8 +3,9 @@
 Brute-force correlation sums grow like ``N**((k+1)*d)``; rather than letting a
 mistyped size run for hours, every brute entry point estimates its lattice
 visit count up front and refuses anything above the configured budget. The
-dual-field recursion (``dual.dual_rec``, ``norms.gowers_inner``) does the
-same with its transform cost model, ``rec_gowers_work``.
+shift recursion (``dual.dual_rec``, ``norms.gowers_inner``,
+``norms.gowers_norm_rec`` and each ascent of ``antiuniform``) does the same
+with its transform cost model, ``rec_gowers_work``.
 """
 
 from __future__ import annotations

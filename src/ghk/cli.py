@@ -159,6 +159,7 @@ def _cmd_dualnorm(args):
         {
             "value": est.value,
             "iterations": est.iterations,
+            "passes": est.passes,
             "converged": est.converged,
             "witness": args.out_witness,
         },
@@ -179,6 +180,7 @@ def _cmd_decompose(args):
         "delta": args.delta,
         "C": res.C,
         "iterations": res.iterations,
+        "passes": res.diagnostics["passes"],
         "stationarity_residual": res.stationarity_residual,
         "norms": res.norms,
         "residual_history": res.residual_history,

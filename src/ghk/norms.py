@@ -288,11 +288,13 @@ def gowers_norm_rec(f, k):
 
     Evaluated on ``f`` rescaled by a power of two, so any norm that is a
     normal float64 comes back finite and correctly scaled; one that is not
-    raises ``OverflowError``.
+    raises ``OverflowError``. The cost model ``budget.rec_gowers_work`` is
+    checked against the default work budget first.
     """
     k = int(k)
     if k < 1:
         raise ValueError(f"gowers_norm_rec requires k >= 1, got {k}")
+    check_work(rec_gowers_work(f.extents, k))
     values, e = _unit_binade(f.values)
     if k == 1:
         # |integral(f)|, summed on the rescaled values

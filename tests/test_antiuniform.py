@@ -3,6 +3,7 @@ import pytest
 
 from ghk import (
     AscentOptions,
+    BudgetExceededError,
     corollary5,
     decompose,
     dual_norm_lower,
@@ -37,6 +38,21 @@ class TestAscentOptions:
             AscentOptions(rel_tol=0)
         with pytest.raises(TypeError):
             AscentOptions(step_init=1.0)
+
+    def test_stop_needs_two_small_gains(self):
+        # every step gains less than the whole objective, so the stop rule
+        # fires at the second accepted step and not before
+        g = random_function("tent", 2, 6, 0.125, 3)
+        est = dual_norm_lower(g, 2, AscentOptions(rel_tol=1.0))
+        assert est.converged and est.iterations == 2
+
+    def test_barzilai_borwein_step(self):
+        from ghk.antiuniform import _bb_step
+
+        df = np.array([[1.0, 2.0], [0.0, 2.0]])
+        assert _bb_step(df, -0.5 * df, 0.25) == 2.0
+        assert _bb_step(df, np.zeros_like(df), 0.25) == 0.25
+        assert _bb_step(df, 1e-320 * df, 0.25) == 0.25
 
 
 class TestDualNormLower:
@@ -304,3 +320,67 @@ class TestEngineCalls:
         assert res.iterations > 0
         # plus one pass for the norm and the dual field of F
         assert calls["engine"] == calls["objective"] + 1
+
+
+class TestPasses:
+    """``passes`` reports the engine passes a call took, seeds included."""
+
+    def test_dual_norm_lower(self, monkeypatch):
+        calls = TestEngineCalls.count(monkeypatch)
+        est = dual_norm_lower(random_function("tent", 2, 6, 0.125, 3), 2)
+        assert est.passes == calls["engine"] > est.iterations
+
+    def test_decompose(self, monkeypatch):
+        calls = TestEngineCalls.count(monkeypatch)
+        res = decompose(random_function("tent", 1, 12, 0.125, 4), 3, 0.25)
+        assert res.diagnostics["passes"] == calls["engine"] > res.iterations
+
+
+class TestBudgetGuards:
+    """The shift recursion's entries refuse work over the default budget
+    before their first transform."""
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda g: gowers_norm_rec(g, 2),
+            lambda g: dual_norm_lower(g, 2),
+            lambda g: triple_dual_lower(g, 2, 0.5),
+            lambda g: decompose(g, 2, 0.5),
+        ],
+        ids=["gowers_norm_rec", "dual_norm_lower", "triple_dual_lower", "decompose"],
+    )
+    def test_tiny_budget_raises_before_any_pass(self, monkeypatch, entry):
+        from ghk import budget
+
+        calls = TestEngineCalls.count(monkeypatch)
+        monkeypatch.setattr(budget, "DEFAULT_WORK_BUDGET", 10)
+        with pytest.raises(BudgetExceededError):
+            entry(random_function("tent", 2, 6, 0.125, 3))
+        assert calls["engine"] == 0
+
+
+ASCENT_SHAPES = ((2, 8, 2), (1, 16, 3), (3, 4, 2))  # (d, N, k)
+ASCENT_FAMILIES = ("random-nonneg", "tent", "gaussian-bump", "indicator-box")
+
+
+class TestAscentQuality:
+    """The default stop rule leaves the ascent close to where it can go."""
+
+    @pytest.mark.parametrize("d, n, k", ASCENT_SHAPES)
+    def test_tight_against_a_long_run(self, d, n, k):
+        long_run = AscentOptions(max_iters=20000, rel_tol=1e-15)
+        for family in ASCENT_FAMILIES:
+            for seed in (3, 4):
+                g = random_function(family, d, n, 0.125, seed)
+                best = dual_norm_lower(g, k, long_run).value
+                assert dual_norm_lower(g, k).value >= best * (1 - 1e-6)
+
+    @pytest.mark.parametrize("d, n, k", ASCENT_SHAPES)
+    def test_decompose_stops_before_max_iters(self, d, n, k):
+        for family in ASCENT_FAMILIES:
+            g = random_function(family, d, n, 0.125, 3)
+            for delta in (0.5, 0.25):
+                res = decompose(g, k, delta)
+                assert res.diagnostics["converged"]
+                assert res.iterations < AscentOptions().max_iters

@@ -189,6 +189,7 @@ class TestDualnormCmd:
         assert code == 0
         doc = json.loads(out)
         assert doc["value"] > 0 and doc["iterations"] >= 0
+        assert doc["passes"] > doc["iterations"]
         w = read_ghk(witness_path)
         assert doc["value"] == pytest.approx(inner(grids["_f"], w), rel=1e-12)
 
@@ -207,6 +208,7 @@ class TestDecomposeCmd:
         assert code == 0
         report = json.loads(open(rep_path).read())
         assert report["norms"]["F_U"] <= 1 + 1e-6
+        assert report["passes"] == report["diagnostics"]["passes"] > report["iterations"]
         F, H, GN = read_ghk(f_path), read_ghk(h_path), read_ghk(gn_path)
         dk = dual_rec(F, 2)
         assert np.array_equal(dk.values + H.values, GN.values)
