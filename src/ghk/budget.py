@@ -5,7 +5,8 @@ mistyped size run for hours, every brute entry point estimates its lattice
 visit count up front and refuses anything above the configured budget. The
 shift recursion (``dual.dual_rec``, ``norms.gowers_inner``,
 ``norms.gowers_norm_rec`` and each ascent of ``antiuniform``) does the same
-with its transform cost model, ``rec_gowers_work``.
+with its transform cost model, ``rec_gowers_work``, and the spectral route
+(``norms.gowers_norm_spectral_u2``) with ``spectral_work``.
 """
 
 from __future__ import annotations
@@ -73,7 +74,10 @@ def brute_dual_work(extents, k, out_extents=None):
     """Visit-count model for the brute cubic convolution product field.
 
     Per axis the admissible shift range has ``n + out_n - 1`` offsets (``2N-1``
-    when the output box coincides with the input box).
+    when the output box coincides with the input box). The kernels skip
+    the shifts that ``kernels._tight_ranges`` proves empty, so on boxes past
+    the frame the model overstates their work; it stays as it is, so that no
+    call that passed before is refused.
     """
     out = extents if out_extents is None else out_extents
     work = math.prod(int(n) for n in out)

@@ -39,7 +39,13 @@ import math
 import numpy as np
 
 from . import kernels
-from .budget import brute_gowers_work, check_work, memory_budget, rec_gowers_work
+from .budget import (
+    brute_gowers_work,
+    check_work,
+    memory_budget,
+    rec_gowers_work,
+    spectral_work,
+)
 from .cubes import FunctionTuple
 from .exponents import exponent_triple
 from .grid import GridFunction, _scale_back, _unit_binade, fourier, lp_norm
@@ -283,18 +289,18 @@ def _norm_from_power(value_pow, k, e):
     return _scale_back(value_pow ** (1.0 / (1 << k)), e, f"U({k}) norm")
 
 
-def gowers_norm_rec(f, k):
+def gowers_norm_rec(f, k, work_budget=None):
     """Order-k uniformity norm by the fast shift recursion (FFT base at k=2).
 
     Evaluated on ``f`` rescaled by a power of two, so any norm that is a
     normal float64 comes back finite and correctly scaled; one that is not
     raises ``OverflowError``. The cost model ``budget.rec_gowers_work`` is
-    checked against the default work budget first.
+    checked against ``work_budget`` first.
     """
     k = int(k)
     if k < 1:
         raise ValueError(f"gowers_norm_rec requires k >= 1, got {k}")
-    check_work(rec_gowers_work(f.extents, k))
+    check_work(rec_gowers_work(f.extents, k), work_budget)
     values, e = _unit_binade(f.values)
     if k == 1:
         # |integral(f)|, summed on the rescaled values
@@ -305,8 +311,13 @@ def gowers_norm_rec(f, k):
     return _norm_from_power(power, k, e)
 
 
-def gowers_norm_spectral_u2(f):
-    """Order-2 norm as the dual-lattice L^4 norm of the transform padded to 3N."""
+def gowers_norm_spectral_u2(f, work_budget=None):
+    """Order-2 norm as the dual-lattice L^4 norm of the transform padded to 3N.
+
+    The cost model ``budget.spectral_work`` is checked against ``work_budget``
+    before the transform.
+    """
+    check_work(spectral_work(f.extents), work_budget)
     values, e = _unit_binade(f.values)
     unit = GridFunction(values, f.spacing, f.origin)
     spec = fourier(unit, tuple(3 * n for n in f.extents))
@@ -318,11 +329,11 @@ def gowers_norm(f, k, algo="rec", work_budget=None):
     if algo == "brute":
         return gowers_norm_brute(f, k, work_budget)
     if algo == "rec":
-        return gowers_norm_rec(f, k)
+        return gowers_norm_rec(f, k, work_budget)
     if algo == "spectral":
         if int(k) != 2:
             raise ValueError("the spectral route applies to k = 2 only")
-        return gowers_norm_spectral_u2(f)
+        return gowers_norm_spectral_u2(f, work_budget)
     raise ValueError(f"unknown algorithm {algo!r}")
 
 

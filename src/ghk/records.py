@@ -43,7 +43,7 @@ def safe_ratio(lhs, rhs):
     return 0.0 if lhs == 0.0 else math.inf
 
 
-@dataclass
+@dataclass(slots=True)
 class CheckRecord:
     name: str
     lhs: float

@@ -126,46 +126,48 @@ def dual_field_oracle(rows, k, out_lo, out_shape):
 
 
 def dual_pair_oracle(rows1, rows2, k, out_lo, out_shape):
-    """Raw double shift sum pairing two punctured tuples, literal evaluation."""
+    """Raw double shift sum pairing two punctured tuples, literal evaluation.
+
+    Cell ``x`` adds up ``prod_a f1_a(x + a.h) * f2_a(x + a.h + a.u)`` over the
+    shift pairs whose single-vertex reads ``p_i = x + h_i`` and
+    ``q_i = x + h_i + u_i`` lie in the frame: any other pair reads a
+    single-vertex row off the frame, a zero factor. So the loops run over the
+    points ``p_i`` and ``q_i`` of the frame.
+    """
     shape = rows1[0].shape
     d = len(shape)
-    out_hi = [l + n for l, n in zip(out_lo, out_shape)]
-    h_rng = [
-        (-(out_hi[a] - 1), shape[a] - 1 - out_lo[a]) for _ in range(k) for a in range(d)
-    ]
-    axes = [range(lo, hi + 1) for lo, hi in h_rng]
-    axes += [range(lo - hi, hi - lo + 1) for lo, hi in h_rng]
-    kd = k * d
+    frame = list(itertools.product(*[range(n) for n in shape]))
     cells = {
         x: []
         for x in itertools.product(
-            *[range(lo, hi) for lo, hi in zip(out_lo, out_hi)]
+            *[range(lo, lo + n) for lo, n in zip(out_lo, out_shape)]
         )
     }
-    for huvec in itertools.product(*axes):
-        hvec = huvec[:kd]
-        wvec = [huvec[j] + huvec[kd + j] for j in range(kd)]
-        for x in cells:
-            p = 1.0
-            for mask in range(1, 1 << k):
-                idx1 = list(x)
-                idx2 = list(x)
-                for i in range(k):
-                    if mask >> i & 1:
-                        for a in range(d):
-                            idx1[a] += hvec[i * d + a]
-                            idx2[a] += wvec[i * d + a]
-                v1 = _read(rows1[mask - 1], idx1)
-                if v1 == 0.0:
-                    p = 0.0
-                    break
-                v2 = _read(rows2[mask - 1], idx2)
-                if v2 == 0.0:
-                    p = 0.0
-                    break
-                p *= v1 * v2
-            if p != 0.0:
-                cells[x].append(p)
+    for x, terms in cells.items():
+        for ps in itertools.product(frame, repeat=k):
+            hvec = [p[a] - x[a] for p in ps for a in range(d)]
+            for qs in itertools.product(frame, repeat=k):
+                wvec = [q[a] - x[a] for q in qs for a in range(d)]
+                p = 1.0
+                for mask in range(1, 1 << k):
+                    idx1 = list(x)
+                    idx2 = list(x)
+                    for i in range(k):
+                        if mask >> i & 1:
+                            for a in range(d):
+                                idx1[a] += hvec[i * d + a]
+                                idx2[a] += wvec[i * d + a]
+                    v1 = _read(rows1[mask - 1], idx1)
+                    if v1 == 0.0:
+                        p = 0.0
+                        break
+                    v2 = _read(rows2[mask - 1], idx2)
+                    if v2 == 0.0:
+                        p = 0.0
+                        break
+                    p *= v1 * v2
+                if p != 0.0:
+                    terms.append(p)
     import numpy as np
 
     out = np.zeros(out_shape)

@@ -94,6 +94,14 @@ class TestNormCmd:
         assert code == 2
         assert json.loads(err)["error"] == "BudgetExceededError"
 
+    @pytest.mark.parametrize("algo", ["brute", "rec", "spectral"])
+    def test_budget_reaches_every_route(self, capsys, grids, algo):
+        code, _, err = run_cli(
+            capsys, "norm", "--k", "2", "--algo", algo, "--in", grids["f"], "--budget", "10"
+        )
+        assert code == 2
+        assert json.loads(err)["error"] == "BudgetExceededError"
+
 
 class TestInnerCmd:
     def test_matches_api(self, capsys, grids):

@@ -22,7 +22,7 @@ from ghk import (
 from ghk.budget import DEFAULT_MEMORY_BUDGET_BYTES, memory_budget, set_memory_budget
 from ghk.dual import _norm_and_dual, dual_brute
 from ghk.exponents import exponent_triple
-from ghk import kernels
+from ghk import kernels, norms
 from ghk.families import random_function, random_tuple
 from ghk.norms import _clamp_power
 
@@ -74,6 +74,19 @@ class TestBruteForce:
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
             gowers_norm_brute(rand_grid(5), 0)
+
+
+class TestWorkBudget:
+    @pytest.mark.parametrize("algo", ["brute", "rec", "spectral"])
+    def test_tiny_budget_refused_first(self, monkeypatch, algo):
+        # gowers_norm hands its budget to every route, and each route checks
+        # it before it touches the values (rescaling comes first in each)
+        def unreachable(values):
+            raise AssertionError(f"the {algo} route ran before its budget check")
+
+        monkeypatch.setattr(norms, "_unit_binade", unreachable)
+        with pytest.raises(BudgetExceededError):
+            gowers_norm(rand_grid(6), 2, algo=algo, work_budget=10)
 
 
 class TestClampRule:
