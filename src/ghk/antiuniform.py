@@ -26,6 +26,13 @@ only when the objective strictly increases *and* this residual does not, so
 the recorded residual trail is non-increasing by construction while the
 ascent stays monotone.
 
+The blend ball is the U(k) ball plus a small L^p term: its weight
+``delta^(2^(k+1))`` is 0.0039 at delta=0.5, k=2. So the first stage's
+unit-U(k) witness, which maximizes nearly the same problem, joins the blend
+ascent's seeds. The ascent starts from the best seed by blend objective,
+hence at or above that witness, and takes a fraction of the passes it would
+from the L^p-duality seed alone.
+
 ``H`` is *defined* as the residual ``g - D_k F``, making the decomposition
 identity exact regardless of optimizer quality; all approximation error lands
 in the norm bounds, never in the sum.
@@ -87,7 +94,7 @@ class AscentOptions:
             raise ValueError("rel_tol must be positive")
 
 
-@dataclass
+@dataclass(slots=True)
 class DualNormEstimate:
     """Certified lower bound: ``value = <g, witness>`` with unit-ball witness.
 
@@ -102,7 +109,7 @@ class DualNormEstimate:
     passes: int
 
 
-@dataclass
+@dataclass(slots=True)
 class DecompositionResult:
     """The split ``g_normalized = D_k F + H`` plus solver diagnostics.
 
@@ -332,6 +339,10 @@ def decompose(g, k, delta, opts=None, dual_candidates=()):
     (this keeps ``C <= 1``, hence ``||F||_U <= 1``, immune to first-stage
     ascent gaps). ``H`` is the exact residual, so ``D_k F + H`` reproduces
     ``g_normalized`` bit for bit.
+
+    The blend ascent starts from the best of ``dual_candidates``, the L^p
+    duality seed and the first stage's witness, which maximizes nearly the
+    same problem: the blend ball is the U(k) ball plus a small L^p term.
     """
     delta = float(delta)
     if not (0.0 < delta <= 1.0):
@@ -349,7 +360,7 @@ def decompose(g, k, delta, opts=None, dual_candidates=()):
 
     ball = _BlendBall(k, delta, g.cell_measure)
     f, val, iterations, converged, history, passes = _ascend(
-        g1, k, ball, opts, dual_candidates
+        g1, k, ball, opts, tuple(dual_candidates) + (base.witness,)
     )
 
     # Any iterate whose plain dual objective beats the first-stage estimate

@@ -71,19 +71,30 @@ def brute_gowers_work(extents, k):
 
 
 def brute_dual_work(extents, k, out_extents=None):
-    """Visit-count model for the brute cubic convolution product field.
+    """Visit-count model for the brute cubic convolution product field:
+    output cells times the shift vectors the kernel walks.
 
-    Per axis the admissible shift range has ``n + out_n - 1`` offsets (``2N-1``
-    when the output box coincides with the input box). The kernels skip
-    the shifts that ``kernels._tight_ranges`` proves empty, so on boxes past
-    the frame the model overstates their work; it stays as it is, so that no
-    call that passed before is refused.
+    Per axis a shift coordinate has ``n + out_n - 1`` admissible offsets. At
+    ``k >= 2`` each shift is all that parts the reads of some two rows, so
+    the kernel keeps it in ``(-n, n)`` (``kernels._tight_ranges``) and walks
+    ``min(n + out_n - 1, 2n - 1)`` offsets; ``2n - 1`` when the output box is
+    the input box.
     """
     out = extents if out_extents is None else out_extents
     work = math.prod(int(n) for n in out)
     for n, m in zip(extents, out):
-        work *= (int(n) + int(m) - 1) ** k
+        offsets = int(n) + int(m) - 1
+        work *= (min(offsets, 2 * int(n) - 1) if k >= 2 else offsets) ** k
     return work
+
+
+def brute_pair_work(extents, k, out_extents=None):
+    """Visit-count model for the brute double cubic sum of two punctured
+    stacks: its ``k`` shifts ``h`` walk as a field's do, and its ``k`` shifts
+    ``u``, each all that parts the reads of two of its rows, over
+    ``(-n, n)``."""
+    u_offsets = math.prod(2 * int(n) - 1 for n in extents)
+    return brute_dual_work(extents, k, out_extents) * u_offsets ** k
 
 
 def fft_work(lengths):

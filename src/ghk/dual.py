@@ -35,7 +35,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import kernels
-from .budget import brute_dual_work, check_work
+from .budget import brute_dual_work, brute_pair_work, check_work
 from .cubes import FunctionTuple
 from .exponents import exponent_triple
 from .grid import (
@@ -243,7 +243,7 @@ def product_identity_gap(fs1, fs2, work_budget=None):
         rel_lo = tuple(b - fl for b, fl in zip(box[0], lo))
         out_shape = tuple(h - l for l, h in zip(*box))
         extents = tuple(h - l for l, h in zip(lo, hi))
-        check_work(brute_dual_work(extents, 2 * k, out_shape), work_budget)
+        check_work(brute_pair_work(extents, k, out_shape), work_budget)
         rows, _ = _unit_rows(stack)
         raw = kernels.dual_pair_field_sum(rows[:m], rows[m:], k, rel_lo, out_shape)
         rhs_field = raw * fs1.spacing ** (2 * k * fs1.dim)

@@ -384,3 +384,37 @@ class TestAscentQuality:
                 res = decompose(g, k, delta)
                 assert res.diagnostics["converged"]
                 assert res.iterations < AscentOptions().max_iters
+
+
+#: (family, d, N, k, delta, seed, blend-stage passes and C when the blend
+#: ascent started from the plain L^p-duality seed only)
+COLD_BLEND_STAGE = (
+    ("tent", 2, 6, 2, 0.5, 3, 366, 0.9980990176632081),
+    ("tent", 1, 12, 3, 0.25, 4, 41, 0.999999999911362),
+    ("random-nonneg", 2, 8, 2, 0.25, 3, 82, 0.9999193417472733),
+    ("gaussian-bump", 3, 4, 2, 0.5, 3, 97, 0.9980726618197978),
+)
+
+
+class TestWarmStart:
+    """The blend ascent also starts from the first stage's witness."""
+
+    @pytest.mark.parametrize("family, d, n, k, delta, seed, cold_passes, cold_C", COLD_BLEND_STAGE)
+    def test_fewer_blend_passes_and_no_worse_C(
+        self, family, d, n, k, delta, seed, cold_passes, cold_C
+    ):
+        g = random_function(family, d, n, 0.125, seed)
+        res = decompose(g, k, delta)
+        # the whole call less the first stage and the one pass for F
+        blend = res.diagnostics["passes"] - dual_norm_lower(g, k).passes - 1
+        assert blend <= cold_passes / 2
+        assert res.C >= cold_C * (1 - 2e-6)
+
+    def test_blend_ball_does_not_stall(self):
+        # from the L^p-duality seed alone this instance stops after 10 blend
+        # steps at residual 6.3e-3, where every trial along the direction
+        # raises the residual; 20,000 steps do not get it further
+        g = random_function("tent", 2, 8, 0.125, 1833363367622783186)
+        res = decompose(g, 2, 0.5)
+        assert res.diagnostics["converged"]
+        assert res.stationarity_residual <= 1e-3

@@ -22,6 +22,7 @@ from ghk import (
     shift,
 )
 from ghk import kernels
+from ghk.budget import brute_dual_work
 from ghk.families import random_function, random_tuple
 from ghk.grid import embed, union_box
 from ghk.records import IDENTITY_TOL
@@ -109,6 +110,14 @@ class TestDualBrute:
         fs = equal_tuple(rand_grid(3, n=8), 3)
         with pytest.raises(BudgetExceededError):
             dual_brute(fs, work_budget=100)
+
+    def test_support_runs_at_default_budget(self):
+        # 1,000 output cells times 7^6 shift vectors, the walk the kernel
+        # takes; counting 13 offsets per coordinate would model 4.8e9
+        fs = random_tuple("random-signed", 2, 3, 4, 0.5, 1, punctured=True)
+        assert brute_dual_work((4,) * 3, 2, (10,) * 3) == 117_649_000
+        field = dual_brute(fs, out_box="full")
+        assert field.extents == (10, 10, 10)
 
     def test_needs_punctured(self):
         f = rand_grid(4)

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from ghk import kernels
+from ghk.budget import brute_dual_work, brute_pair_work
 
 from oracles import dual_field_oracle, dual_pair_oracle, gowers_sum_oracle
 
@@ -148,20 +149,27 @@ def support_box(shape, k):
     return lo, tuple(k * (n - 1) // (k - 1) + 1 - a for a, n in zip(lo, shape))
 
 
+def out_box(shape, k, box):
+    """``(lo, shape)`` of the box ``"frame"``, ``"support"``, ``"past"``
+    (past the support) or ``"inside"`` (the frame less its last cell per
+    axis)."""
+    if box == "frame":
+        return (0,) * len(shape), shape
+    if box == "support":
+        return support_box(shape, k)
+    if box == "inside":
+        return (0,) * len(shape), tuple(n - 1 for n in shape)
+    return tuple(-n for n in shape), tuple(3 * n for n in shape)
+
+
 def kernel_call(kernel, k, shape, box, seed=0):
     """A no-argument call of the kernel on random rows of ``shape``, on the
-    box ``"frame"``, ``"support"`` or ``"past"`` (past the support)."""
-    d = len(shape)
+    box named by ``box`` (see ``out_box``)."""
     rows = (1 << k) - 1
     s1, s2 = rand_stack(seed, rows, shape), rand_stack(seed + 1, rows, shape)
-    if box == "frame":
-        out = ((0,) * d, shape)
-    elif box == "support":
-        out = support_box(shape, k)
-    else:
-        out = (tuple(-n for n in shape), tuple(3 * n for n in shape))
     if kernel == "gowers":
         return lambda: kernels.gowers_sum(rand_stack(seed, 1 << k, shape), k)
+    out = out_box(shape, k, box)
     if kernel == "dual":
         return lambda: kernels.dual_field_sum(s1, k, *out)
     return lambda: kernels.dual_pair_field_sum(s1, s2, k, *out)
@@ -254,6 +262,26 @@ class TestTightRanges:
         ranges = [range(-(n - 1), n)] * k + [range(-2 * (n - 1), 2 * n - 1)] * k
         cut = kernels._tight_ranges(masks, ranges, (n,))
         assert cut == [range(1 - n, n)] * (2 * k)
+
+
+WORK_CASES = [
+    (kernel, shape, k, box)
+    for kernel in ("dual", "pair")
+    for shape in ((2,), (5,), (2, 3), (3, 3), (3, 2, 3))
+    for k in (1, 2, 3)
+    for box in ("frame", "support", "past", "inside")
+    if not (box == "support" and k == 1)
+]
+
+
+@pytest.mark.parametrize("kernel,shape,k,box", WORK_CASES)
+def test_work_model_covers_the_walk(monkeypatch, kernel, shape, k, box):
+    # output cells times the shift vectors the walk takes after the cut
+    _, out_shape = out_box(shape, k, box)
+    *_, cut = tight_args(monkeypatch, kernel_call(kernel, k, shape, box))
+    visits = math.prod(out_shape) * math.prod(map(len, cut))
+    model = brute_dual_work if kernel == "dual" else brute_pair_work
+    assert model(shape, k, out_shape) >= visits
 
 
 UNCUT_CASES = [
