@@ -32,15 +32,17 @@ _SPACING_RTOL = 1e-12
 def _as_origin(origin, dim):
     if np.isscalar(origin):
         origin = (origin,) * dim
-    if not (type(origin) is tuple and all(type(o) is int for o in origin)):
-        # a tuple of ints is kept, so grids derived from one share it
-        origin = tuple(int(o) for o in origin)
+    origin = tuple(int(o) for o in origin)
     if len(origin) != dim:
         raise ValueError(f"origin has {len(origin)} entries for a {dim}-d grid")
     return origin
 
 
-@dataclass(frozen=True, eq=False, slots=True, weakref_slot=True)
+#: ``weakref_slot`` needs Python 3.11; older interpreters keep a ``__dict__``.
+_SLOTS = dict(slots=True, weakref_slot=True) if sys.version_info >= (3, 11) else {}
+
+
+@dataclass(frozen=True, eq=False, **_SLOTS)
 class GridFunction:
     """A real step function sampled on a uniform lattice.
 
