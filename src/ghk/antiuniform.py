@@ -63,7 +63,7 @@ import numpy as np
 from .budget import check_work, rec_gowers_work
 from .dual import _norm_and_dual
 from .exponents import exponent_triple
-from .grid import GridFunction, _lp_norm, common_frame, embed, inner, lp_norm, scale
+from .grid import GridFunction, _frozen, _lp_norm, common_frame, embed, inner, lp_norm, scale
 from .norms import gowers_norm_rec
 
 #: First trial step of the ascent; every later first trial is a
@@ -205,7 +205,7 @@ def triple_norm(f, k, delta):
 
 def _seeds(g, k, candidates):
     trip = exponent_triple(k)
-    f0 = GridFunction(_signed_power(g.values, trip.s_float - 1.0), g.spacing, g.origin)
+    f0 = GridFunction(_frozen(_signed_power(g.values, trip.s_float - 1.0)), g.spacing, g.origin)
     return list(candidates) + [scale(f0, 1.0 / lp_norm(f0, trip.p_float))]
 
 
@@ -306,7 +306,7 @@ def _ascend(g, k, ball, opts, candidates):
         if small_gains == 2:
             converged = True
             break
-    return GridFunction(f, w, frame_lo), val, iterations, converged, history, passes
+    return GridFunction(_frozen(f), w, frame_lo), val, iterations, converged, history, passes
 
 
 def dual_norm_lower(g, k, opts=None, candidates=()):
@@ -369,7 +369,7 @@ def decompose(g, k, delta, opts=None, dual_candidates=()):
     u_corr = max([1.0] + [vi / ui for vi, _, ui in history if ui > 0.0])
 
     lo, hi = f.box
-    g2 = GridFunction(embed(g1, lo, hi) * (1.0 / u_corr), g1.spacing, lo)
+    g2 = GridFunction(_frozen(embed(g1, lo, hi) * (1.0 / u_corr)), g1.spacing, lo)
     total_scale = base.value * u_corr
 
     C = val / u_corr
@@ -382,8 +382,8 @@ def decompose(g, k, delta, opts=None, dual_candidates=()):
     # g / scale by at most one ulp per cell (far inside the normalization
     # estimate gap the bound tolerances already absorb).
     Hv = g2.values - dkF
-    g2 = GridFunction(dkF + Hv, g2.spacing, g2.origin)
-    H = GridFunction(Hv, g2.spacing, g2.origin)
+    g2 = GridFunction(_frozen(dkF + Hv), g2.spacing, g2.origin)
+    H = GridFunction(_frozen(Hv), g2.spacing, g2.origin)
 
     # residuals are positively homogeneous in g, so dividing by the common
     # normalization preserves both values and the non-increasing order
@@ -441,6 +441,6 @@ def corollary5(phi, k, opts=None):
     theta, dual_phi = _norm_and_dual(phi.values, phi.spacing, k)
     if theta <= 0.0:
         raise ValueError("corollary5 needs ||phi||_U(k) > 0")
-    g = scale(GridFunction(dual_phi, phi.spacing, phi.origin), theta ** (-(1 << k) + 1))
+    g = scale(GridFunction(_frozen(dual_phi), phi.spacing, phi.origin), theta ** (-(1 << k) + 1))
     res = decompose(g, k, theta / 2.0, opts, dual_candidates=(phi,))
     return scale(res.F, theta / 2.0)

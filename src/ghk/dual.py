@@ -41,6 +41,7 @@ from .exponents import exponent_triple
 from .grid import (
     GridFunction,
     _check_pow2,
+    _frozen,
     _scale_back,
     _unit_binade,
     add,
@@ -104,7 +105,7 @@ def dual_brute(fs, out_box=None, work_budget=None):
     raw = kernels.dual_field_sum(rows, fs.k, rel_lo, out_shape)
     origin = tuple(fl + rl for fl, rl in zip(lo, rel_lo))
     field = _field_from(raw * fs.spacing ** (fs.k * fs.dim), fs.k, e)
-    return GridFunction(field, fs.spacing, origin)
+    return GridFunction(_frozen(field), fs.spacing, origin)
 
 
 def _field_from(field, k, e):
@@ -145,7 +146,7 @@ def _dual_field(fs, out_box=None, work_budget=None):
     span that ``perfbench/tracer.py`` meters as ``dual.dual_rec`` reads a
     grid function and its ``k``."""
     unit, e = _dual_rec_unit(fs, out_box, work_budget)
-    return GridFunction(_field_from(unit.values, fs.k, e), fs.spacing, unit.origin)
+    return GridFunction(_frozen(_field_from(unit.values, fs.k, e)), fs.spacing, unit.origin)
 
 
 def _dual_rec_unit(fs, out_box, work_budget):
@@ -157,7 +158,7 @@ def _dual_rec_unit(fs, out_box, work_budget):
     rel_lo, out_shape = _resolve_out_box(stack.shape[1:], fs.k, out_box)
     raw, e = _dual_unit(stack, fs.k, rel_lo, out_shape, work_budget)
     origin = tuple(fl + rl for fl, rl in zip(lo, rel_lo))
-    return GridFunction(raw * fs.spacing ** (fs.k * fs.dim), fs.spacing, origin), e
+    return GridFunction(_frozen(raw * fs.spacing ** (fs.k * fs.dim)), fs.spacing, origin), e
 
 
 def _norm_and_dual(values, spacing, k):
@@ -216,7 +217,7 @@ def continuity_modulus(fs, v, work_budget=None):
         for q in qnorms[:i] + qnorms[i + 1 :]:
             prod *= q
         rhs += prod
-    params = instance_params(fs.k, fs.dim, fs.extent, fs.spacing, v=list(v))
+    params = instance_params(fs.k, fs.dim, fs.extent, fs.spacing, v=v)
     passed = lhs <= rhs * (1.0 + INEQ_SLACK)
     signed = not fs.is_nonnegative()
     return check_record("eq5.2-continuity", lhs, rhs, passed, params, signed=signed)

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .exponents import exponent_triple
-from .grid import GridFunction, lp_norm, scale
+from .grid import GridFunction, _frozen, lp_norm, scale
 
 FAMILIES = ("indicator-box", "tent", "gaussian-bump", "random-nonneg", "random-signed")
 
@@ -51,7 +51,7 @@ def random_function(family, d, N, w, seed):
         values = rng.uniform(-1.0, 1.0, shape)
     else:
         raise ValueError(f"unknown function family {family!r}")
-    return GridFunction(values, w, (0,) * d)
+    return GridFunction(_frozen(values), w, (0,) * d)
 
 
 def random_tuple(family, k, d, N, w, seed, punctured=False):

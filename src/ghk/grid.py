@@ -125,6 +125,16 @@ class GridFunction:
         )
 
 
+def _frozen(arr):
+    """``arr`` made read-only, so that a grid takes it without a copy.
+
+    Only for a fresh array that nothing else holds or writes: the library's
+    own temporaries, never a caller's array.
+    """
+    arr.flags.writeable = False
+    return arr
+
+
 def from_values(values, spacing=1.0, origin=0):
     """Convenience constructor accepting any array-like of cell values."""
     return GridFunction(np.asarray(values, dtype=np.float64), spacing, origin)
@@ -290,7 +300,7 @@ def scale(f, t):
     t = float(t)
     if not math.isfinite(t):
         raise ValueError("scale factor must be finite")
-    return GridFunction(f.values * t, f.spacing, f.origin)
+    return GridFunction(_frozen(f.values * t), f.spacing, f.origin)
 
 
 def add(f, g):
@@ -302,7 +312,7 @@ def add(f, g):
         slice(o - l, o - l + n) for o, l, n in zip(g.origin, lo, g.extents)
     )
     out[gsl] += g.values
-    return GridFunction(out, f.spacing, lo)
+    return GridFunction(_frozen(out), f.spacing, lo)
 
 
 def pointwise_mul(f, g):
@@ -313,11 +323,11 @@ def pointwise_mul(f, g):
     _require_same_spacing(f, g)
     box = intersection_box([f.box, g.box])
     if box is None:
-        return GridFunction(np.zeros((1,) * f.dim), f.spacing, f.origin)
+        return GridFunction(_frozen(np.zeros((1,) * f.dim)), f.spacing, f.origin)
     lo, hi = box
     fsl = tuple(slice(l - o, h - o) for l, h, o in zip(lo, hi, f.origin))
     gsl = tuple(slice(l - o, h - o) for l, h, o in zip(lo, hi, g.origin))
-    return GridFunction(f.values[fsl] * g.values[gsl], f.spacing, lo)
+    return GridFunction(_frozen(f.values[fsl] * g.values[gsl]), f.spacing, lo)
 
 
 # -- Fourier transform -----------------------------------------------------

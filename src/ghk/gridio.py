@@ -23,7 +23,7 @@ import struct
 
 import numpy as np
 
-from .grid import GridFunction
+from .grid import GridFunction, _frozen
 
 MAGIC = b"GHK1"
 
@@ -117,7 +117,7 @@ def from_json_dict(doc):
     if values.size != count:
         raise GridFormatError(f"expected {count} values, got {values.size}")
     try:
-        return GridFunction(values.reshape(extents), spacing, origin)
+        return GridFunction(_frozen(values.reshape(extents)), spacing, origin)
     except ValueError as exc:
         raise GridFormatError(str(exc)) from exc
 

@@ -48,7 +48,7 @@ from .budget import (
 )
 from .cubes import FunctionTuple
 from .exponents import exponent_triple
-from .grid import GridFunction, _scale_back, _unit_binade, fourier, lp_norm
+from .grid import GridFunction, _frozen, _scale_back, _unit_binade, fourier, lp_norm
 from .records import INEQ_SLACK, check_record, instance_params
 
 #: Clamp threshold for negative power-sum accumulations (relative to the
@@ -319,7 +319,7 @@ def gowers_norm_spectral_u2(f, work_budget=None):
     """
     check_work(spectral_work(f.extents), work_budget)
     values, e = _unit_binade(f.values)
-    unit = GridFunction(values, f.spacing, f.origin)
+    unit = GridFunction(_frozen(values), f.spacing, f.origin)
     spec = fourier(unit, tuple(3 * n for n in f.extents))
     return _scale_back(spec.lp_norm(4), e, "U(2) norm")
 

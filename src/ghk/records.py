@@ -10,10 +10,13 @@ proved for nonnegative inputs.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+import struct
+from dataclasses import dataclass
+from types import MappingProxyType
 
 
 #: Relative slack of the constant-one inequality gates and the ascent trail.
@@ -43,30 +46,130 @@ def safe_ratio(lhs, rhs):
     return 0.0 if lhs == 0.0 else math.inf
 
 
-@dataclass(slots=True)
+#: The ``params`` or ``extra`` of a record that has none, shared by all.
+_NO_ENTRIES = MappingProxyType({})
+
+
+class _Kind:
+    # what the records of one check at one set of coordinates share
+    __slots__ = ("name", "passed", "params")
+
+    def __init__(self, name, passed, params):
+        self.name, self.passed, self.params = name, passed, params
+
+
+@functools.lru_cache(maxsize=1024, typed=True)
+def _interned_kind(name, passed, key, items):
+    return _Kind(name, passed, MappingProxyType(dict(items)))
+
+
+def _kind(name, passed, params):
+    # one shared kind per (name, pass flag, params); the params' repr is part
+    # of the key, so that 2 and 2.0 stay apart
+    items = tuple(params.items())
+    return _interned_kind(name, passed, repr(items), items)
+
+
+@functools.lru_cache(maxsize=256)
+def _interned_keys(keys):
+    return keys
+
+
+def _pack(*numbers):
+    return struct.pack(f"{len(numbers)}d", *numbers)
+
+
+def _unpack(packed):
+    return struct.unpack(f"{len(packed) // 8}d", packed)
+
+
 class CheckRecord:
-    name: str
-    lhs: float
-    rhs: float
-    ratio: float
-    passed: bool | None
-    seed: int | None = None
-    params: dict = field(default_factory=dict)
-    runtime_ms: float = 0.0
-    extra: dict = field(default_factory=dict)
+    """One check instance: the two sides ``lhs`` and ``rhs``, the pass flag
+    ``passed``, the ``seed``, the coordinates ``params``, the ``extra``
+    values and the runtime. ``ratio`` is ``safe_ratio(lhs, rhs)``.
+
+    A sweep or a benchmark may keep many records, so a record is four
+    references. The name, pass flag and a read-only ``params`` are one kind
+    shared by every record with equal ones. ``lhs``, ``rhs``, ``runtime_ms``
+    and the values of an ``extra`` whose values are all floats are packed as
+    float64; any other ``extra`` is kept as a dict. ``params`` and ``extra``
+    read back as read-only mappings.
+    """
+
+    __slots__ = ("_kind", "seed", "_extra", "_numbers")
+
+    def __init__(self, name, lhs, rhs, passed, seed=None, params=_NO_ENTRIES,
+                 runtime_ms=0.0, extra=_NO_ENTRIES):
+        self._kind = _kind(name, passed, params)
+        self.seed = seed
+        packed = ()
+        if not extra:
+            self._extra = _NO_ENTRIES
+        elif all(type(v) is float for v in extra.values()):
+            self._extra = _interned_keys(tuple(extra))
+            packed = extra.values()
+        else:
+            self._extra = MappingProxyType(dict(extra))
+        self._numbers = _pack(lhs, rhs, runtime_ms, *packed)
+
+    @property
+    def name(self):
+        return self._kind.name
+
+    @property
+    def passed(self):
+        return self._kind.passed
+
+    @property
+    def params(self):
+        return self._kind.params
+
+    @params.setter
+    def params(self, params):
+        self._kind = _kind(self.name, self.passed, params)
+
+    @property
+    def lhs(self):
+        return _unpack(self._numbers)[0]
+
+    @property
+    def rhs(self):
+        return _unpack(self._numbers)[1]
+
+    @property
+    def ratio(self):
+        return safe_ratio(self.lhs, self.rhs)
+
+    @property
+    def runtime_ms(self):
+        return _unpack(self._numbers)[2]
+
+    @runtime_ms.setter
+    def runtime_ms(self, value):
+        lhs, rhs, _, *packed = _unpack(self._numbers)
+        self._numbers = _pack(lhs, rhs, value, *packed)
+
+    @property
+    def extra(self):
+        if isinstance(self._extra, tuple):
+            return MappingProxyType(dict(zip(self._extra, _unpack(self._numbers)[3:])))
+        return self._extra
+
+    def __repr__(self):
+        return f"CheckRecord({self.as_dict()!r})"
 
     def as_dict(self, include_runtime=True):
         doc = {
             "name": self.name,
             "seed": self.seed,
-            "params": self.params,
+            "params": dict(self.params),
             "lhs": self.lhs,
             "rhs": self.rhs,
             "ratio": self.ratio,
             "pass": self.passed,
         }
         if self.extra:
-            doc["extra"] = self.extra
+            doc["extra"] = dict(self.extra)
         if include_runtime:
             doc["runtime_ms"] = self.runtime_ms
         return doc
@@ -89,8 +192,7 @@ def check_record(name, lhs, rhs, passed, params, signed=False, extra=None,
     for key, (a, b) in (extra_ratios or {}).items():
         extra[key] = safe_ratio(a, b)
     passed = None if signed else passed
-    return CheckRecord(name, lhs, rhs, safe_ratio(lhs, rhs), passed, params=params,
-                       extra=extra)
+    return CheckRecord(name, lhs, rhs, passed, params=params, extra=extra)
 
 
 def config_hash(config):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -75,6 +76,30 @@ class TestConstruction:
         f = from_values([1.0, 2.0], 1.0)
         with pytest.raises(ValueError):
             f.values[0] = 5.0
+
+    def test_caller_array_never_aliased(self):
+        # a caller's writable array, or a view of it, is copied and stays writable
+        a = np.arange(6.0)
+        for raw in (a, a[1:4], a.reshape(2, 3)):
+            f = GridFunction(raw, 1.0, 0)
+            assert not np.shares_memory(f.values, a)
+        assert a.flags.writeable
+        a[2] = -1.0
+        assert f.values[0, 2] == 2.0
+
+    def test_library_results_not_copied(self):
+        # the grid operations hand their fresh arrays over without a copy
+        f = rand_grid(3, n=100_000)
+        tracemalloc.start()
+        try:
+            for op in (scale, add, pointwise_mul):
+                tracemalloc.reset_peak()
+                held = tracemalloc.get_traced_memory()[0]
+                g = op(f, 2.0) if op is scale else op(f, f)
+                assert tracemalloc.get_traced_memory()[1] - held < 1.5 * g.values.nbytes
+                del g
+        finally:
+            tracemalloc.stop()
 
 
 class TestIntegral:

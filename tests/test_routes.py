@@ -5,7 +5,10 @@ spectral route; each dual field of a punctured tuple by the brute sum and the
 recursion, on the frame and on the order-k support. On small boxes with
 signed, nonnegative, zero and single-cell inputs at scales 1e-40, 1 and 1e40,
 the routes agree within ``ORACLE_TOL`` (``SPECTRAL_TOL`` for the spectral
-route), or every one of them raises ``OverflowError``.
+route), or every one of them raises ``OverflowError``. At scale 1 and the
+smallest extents the plain-loop oracles of ``oracles.py`` join as a third
+route, so the chain stays anchored to code that shares nothing with the
+kernels.
 
 A norm is compared relative to its value. A field is compared relative to
 the product of its rows' L^q_k norms, the bound of Lemma 1 on its sup norm:
@@ -34,6 +37,8 @@ from ghk import (
 from ghk.cubes import VertexSet
 from ghk.exponents import exponent_triple
 from ghk.records import ORACLE_TOL, SPECTRAL_TOL
+
+from oracles import dual_field_oracle, gowers_sum_oracle
 
 KINDS = ("signed", "nonneg", "zero", "single")
 SCALES = (1e-40, 1.0, 1e40)
@@ -66,6 +71,32 @@ def grids(draw, shape, spacing, scale):
         # zero cells too, so that rows of disjoint support meet
         values *= draw(st.lists(st.sampled_from((-1, 0, 1)), min_size=size, max_size=size))
     return from_values(values.reshape(shape) * scale, spacing)
+
+
+#: Lattice visits (output cells times shift vectors) up to which the
+#: plain-loop oracles run as a third route.
+ORACLE_VISITS = 10_000
+
+
+def oracle_visits(extents, k, out_shape):
+    """Output cells times the shift vectors a plain-loop oracle walks."""
+    shifts = math.prod(n + m - 1 for n, m in zip(extents, out_shape))
+    return math.prod(out_shape) * shifts**k
+
+
+def oracle_norm(f, k):
+    """The U(k) norm from the plain-loop sum, with the measure weight."""
+    raw = gowers_sum_oracle([f.values] * (1 << k), k)
+    return (f.spacing ** ((k + 1) * f.dim) * max(raw, 0.0)) ** (1.0 / (1 << k))
+
+
+def oracle_field(fs, box):
+    """The dual field of a punctured tuple on ``box``, a grid's ``(lo, hi)``,
+    from the plain-loop sum, with the measure weight."""
+    lo, _, stack = fs.stacked()
+    rel_lo = tuple(b - l for b, l in zip(box[0], lo))
+    shape = tuple(h - b for b, h in zip(*box))
+    return dual_field_oracle(list(stack), fs.k, rel_lo, shape) * fs.spacing ** (fs.k * fs.dim)
 
 
 def outcomes(routes):
@@ -126,6 +157,29 @@ def test_dual_field_routes_agree(d, k, scale, data):
             assert rec.box == brute.box
             brute, rec = brute.values, rec.values
         assert_agree(brute, [rec], ORACLE_TOL, bound)
+
+
+@pytest.mark.parametrize("d, k", ORDERS)
+@given(data=st.data())
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+def test_plain_loop_oracles_agree(d, k, data):
+    # the third route, at scale 1 on boxes of at most ORACLE_VISITS visits:
+    # the oracles are the reference for both the brute and the recursive route
+    m = max(m for m in (1, 2, 3) if oracle_visits((m,) * d, k, (m,) * d) <= ORACLE_VISITS)
+    shape = data.draw(st.tuples(*[st.integers(1, m)] * d))
+    spacing = data.draw(st.sampled_from(SPACINGS))
+    f = data.draw(grids(shape, spacing, 1.0))
+    oracle = oracle_norm(f, k)
+    assert_agree(oracle, [gowers_norm_brute(f, k), gowers_norm_rec(f, k)], ORACLE_TOL, oracle)
+    vs = VertexSet(k, punctured=True)
+    fs = FunctionTuple(vs, [data.draw(grids(shape, spacing, 1.0)) for _ in range(len(vs))])
+    bound = math.prod(lp_norm(f, exponent_triple(k).q_float) for f in fs)
+    for out_box in (None, "full"):
+        brute, rec = dual_brute(fs, out_box), dual_rec(fs, out_box=out_box)
+        assert rec.box == brute.box
+        if oracle_visits(shape, k, brute.extents) <= ORACLE_VISITS:
+            want = oracle_field(fs, brute.box)
+            assert_agree(want, [brute.values, rec.values], ORACLE_TOL, bound)
 
 
 @pytest.mark.parametrize("scale", [1e-40, 1e40])

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import weakref
 
@@ -42,17 +43,51 @@ class TestRecords:
         assert safe_ratio(1.0, 0.0) == float("inf")
 
     def test_record_serialization(self):
-        rec = CheckRecord("x", lhs=1.0, rhs=2.0, ratio=0.5, passed=True, seed=3)
+        rec = CheckRecord("x", lhs=1.0, rhs=2.0, passed=True, seed=3)
         doc = rec.as_dict()
         assert doc["pass"] is True and doc["seed"] == 3
         assert "runtime_ms" in doc
         assert "runtime_ms" not in rec.as_dict(include_runtime=False)
+        assert doc["ratio"] == rec.ratio == 0.5
+        assert "extra" not in doc and doc["params"] == {}
+
+    def test_records_share_params(self):
+        a = check_record("x", 1.0, 2.0, True, instance_params(2, 1, 4, 0.5, v=(1,)))
+        b = check_record("x", 3.0, 0.0, True, instance_params(2, 1, 4, 0.5, v=(1,)))
+        assert a.params is b.params and a.extra is b.extra
+        with pytest.raises(TypeError):
+            a.params["k"] = 3
+        # 2 and 2.0 serialise apart, so they never share one mapping
+        c = check_record("x", 1.0, 2.0, True, instance_params(2.0, 1, 4, 0.5, v=(1,)))
+        assert c.params is not a.params
+        assert json.loads(json.dumps(a.as_dict()))["params"]["v"] == [1]
+        assert b.ratio == float("inf")
+
+    def test_record_numbers_round_trip(self):
+        # packed float64 values read back exactly, runtimes included
+        values = (-0.0, 5e-324, 1.7976931348623157e308, float("inf"), 0.1)
+        extra = {"a": 0.3, "b": -2.5e-300}
+        for lhs in values:
+            rec = check_record("x", lhs, 0.1, True, {"k": 2}, extra=extra)
+            rec.runtime_ms = 12.5
+            assert (rec.lhs, rec.rhs, rec.runtime_ms) == (lhs, 0.1, 12.5)
+            assert str(rec.lhs) == str(lhs) and dict(rec.extra) == extra
+        mixed = check_record("x", 1.0, 2.0, True, {}, extra={"n": 3, "ok": True})
+        assert mixed.as_dict()["extra"] == {"n": 3, "ok": True}
+        assert isinstance(mixed.as_dict()["extra"]["n"], int)
+
+    def test_suite_tags_a_copy(self):
+        # the suite adds its family without touching the library's mapping
+        rec, _ = run_check(SMALL_CONFIG, "eq2.1-lemma1", 2, 1, 5)
+        assert rec.params["family"] == "random-nonneg"
+        lib = lemma1_gap(random_tuple("random-nonneg", 2, 1, 6, 0.125, 5, punctured=True))
+        assert "family" not in lib.params
 
     def test_report_counts_and_sorting(self):
         recs = [
-            CheckRecord("b", 1, 1, 1.0, True, seed=2),
-            CheckRecord("a", 1, 1, 1.0, False, seed=1),
-            CheckRecord("a", 1, 1, 1.0, None, seed=0),
+            CheckRecord("b", 1, 1, True, seed=2),
+            CheckRecord("a", 1, 1, False, seed=1),
+            CheckRecord("a", 1, 1, None, seed=0),
         ]
         rep = SuiteReport("0", "h", recs)
         assert [r.name for r in rep.records] == ["a", "a", "b"]
@@ -166,11 +201,14 @@ class TestRunSuite:
         def no_pool(*args, **kwargs):
             raise AssertionError("run_suite started a thread pool without threads > 1")
 
-        monkeypatch.setattr(suite, "ThreadPoolExecutor", no_pool)
+        # run_suite imports the pool class only on its threaded branch
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
         cfg = {"checks": ["eq1.6-homogeneity"], "k": [2], "d": [1], "n": 4, "reps": 2}
         rep = run_suite(cfg)
         assert len(rep.records) == 2 and rep.all_passed
         assert all(r.runtime_ms > 0.0 for r in rep.records)
+        with pytest.raises(AssertionError, match="thread pool"):
+            run_suite(cfg, threads=2)
 
     def test_passing_grids_released(self, monkeypatch):
         # only failing records keep their grids for the artifacts
@@ -245,7 +283,6 @@ def failing_check(ctx, k, d, seed):
         name="stub-fail",
         lhs=2.0,
         rhs=1.0,
-        ratio=2.0,
         passed=False,
         params={"k": k, "d": d, "N": 4, "w": 0.25},
     )
