@@ -6,9 +6,10 @@ land in a sample; values across routes that compute the same quantity are
 cross-checked during the run.
 
 Work counts follow the documented visit model: brute order-k norms cost
-``N^d (2N-1)^(kd)`` visits, the recursion ``(2N-1)^d`` transform passes of
-length ``2N`` per axis (the order-3 norm and the order-3 dual field on the
-frame box alike), and transforms are modeled at ``M^d log2(M^d)``. The
+``N^d (2N-1)^(kd)`` visits, the recursion ``ceil((2N-1)^d / 2)`` transform
+passes of length ``2N`` per axis (the order-3 norm and the order-3 dual field
+on the frame box alike: the all-equal tuple folds each shift ``h`` with
+``-h``), and transforms are modeled at ``M^d log2(M^d)``. The
 cross-check tolerances are ``records.ORACLE_TOL`` and ``records.SPECTRAL_TOL``.
 """
 

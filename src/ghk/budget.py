@@ -103,19 +103,36 @@ def fft_work(lengths):
     return int(total * max(1, math.ceil(math.log2(max(total, 2)))))
 
 
-def rec_gowers_work(extents, k, rows=1, out_extents=None):
-    """Cost model for the shift recursion: ``(2N-1)^((k-2)d)`` order-2 bases,
-    each ``rows`` padded forward transforms (1 for an all-equal tuple, 3 for
-    a general one) of length 2N per axis.
+def _cross_points(n, j):
+    """Integer points ``h`` in ``Z^j`` with ``|h_1| + ... + |h_j| <= n - 1``."""
+    return sum(2**i * math.comb(j, i) * math.comb(n - 1, i) for i in range(j + 1))
 
-    A dual field (``out_extents`` given) adds one inverse transform per base
-    and pads each axis to at most ``N + out_N``.
+
+def rec_gowers_work(extents, k, rows=1, out_extents=None):
+    """Cost model for the shift recursion: its order-2 bases, each ``rows``
+    padded forward transforms (1 for an all-equal tuple, 3 for a general
+    one) of length 2N per axis.
+
+    A general tuple is modelled with all ``(2N-1)^((k-2)d)`` bases. An
+    all-equal tuple is modelled with the bases the engine keeps when no cell
+    is zero: the shifts ``h_1 .. h_(k-2)`` whose product does not vanish
+    (``|h_1| + ... + |h_(k-2)| <= N - 1`` per axis), with ``h_1`` folded
+    with ``-h_1`` (k >= 3). At k=3 that is ``ceil((2N-1)^d / 2)``. A dual
+    field (``out_extents`` given) adds one inverse transform per base and
+    pads each axis to at most ``N + out_N``.
     """
-    shifts = math.prod((2 * int(n) - 1) for n in extents) ** max(int(k) - 2, 0)
+    j = max(int(k) - 2, 0)
+    if int(rows) == 1 and j:
+        bases = (
+            math.prod(_cross_points(int(n), j) for n in extents)
+            + math.prod(_cross_points(int(n), j - 1) for n in extents)
+        ) // 2
+    else:
+        bases = math.prod((2 * int(n) - 1) for n in extents) ** j
     if out_extents is None:
-        return shifts * int(rows) * fft_work([2 * int(n) for n in extents])
+        return bases * int(rows) * fft_work([2 * int(n) for n in extents])
     lengths = [int(n) + int(m) for n, m in zip(extents, out_extents)]
-    return shifts * (int(rows) + 1) * fft_work(lengths)
+    return bases * (int(rows) + 1) * fft_work(lengths)
 
 
 def spectral_work(extents):

@@ -20,10 +20,11 @@ the all-equal tuple, and peels the top cube coordinate,
 down to an order-2 base evaluated by FFT, ``irfftn(F_1 F_2 conj(F_3))``,
 through the shift-product engine it shares with ``norms.gowers_norm_rec``
 and ``norms.gowers_inner``. An all-equal tuple stays all-equal under every
-peel, so the engine carries it as one row with one spectrum. The route
-matches ``dual_brute`` pointwise to float roundoff at a fraction of the
-cost, and every check below evaluates its fields by it; ``dual_brute`` and
-the pair kernel of ``product_identity_gap`` remain the oracles. The engine
+peel, so the engine carries it as one row with one spectrum, and its first
+peel walks half the shifts: ``h`` and ``-h`` give translates of one row. The
+route matches ``dual_brute`` pointwise to float roundoff at a fraction of
+the cost, and every check below evaluates its fields by it; ``dual_brute``
+and the pair kernel of ``product_identity_gap`` remain the oracles. The engine
 pads each axis only as far as the box needs: 2N on the frame box, about 3N
 on the support at k=2, less at higher k, whose support is narrower.
 ``_norm_and_dual`` takes the norm and the field on the frame from one pass.
@@ -121,10 +122,11 @@ def dual_rec(f, k=None, out_box=None, work_budget=None):
     (``out_box=None``) or its order-k support (``out_box="full"``).
 
     Cost is ``(2N-1)^((k-2)d)`` order-2 bases of three padded transforms
-    each (one for an all-equal tuple, which the engine carries as one row),
-    instead of the
-    ``(2N)^(kd)`` shift sum of :func:`dual_brute`; the cost model
-    ``budget.rec_gowers_work`` is checked against ``work_budget`` first.
+    each, instead of the ``(2N)^(kd)`` shift sum of :func:`dual_brute`. An
+    all-equal tuple is carried as one row with one transform per base, and
+    at k >= 3 its first peel folds each shift ``h`` with ``-h``, which
+    halves its bases. The cost model ``budget.rec_gowers_work`` is checked
+    against ``work_budget`` first.
     Evaluated on each row rescaled by a power of two, so the field comes back
     correctly scaled, or ``OverflowError`` is raised when its largest
     magnitude is not a normal float64.

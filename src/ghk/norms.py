@@ -9,7 +9,9 @@ Three independent evaluation routes are provided for ``||f||_U(k)``:
     down to an order-2 base evaluated from padded FFT autocorrelations
     (padding ``M >= 2N`` per axis makes cyclic wraparound vanish), on ``f``
     rescaled by a power of two so that the power sums neither overflow nor
-    underflow.
+    underflow. ``f^(-h) f`` is ``f^h f`` translated, with the same norm, so
+    the first level sums the ``h`` from the centre of the shift axis on and
+    counts each ``h != 0`` twice.
 ``gowers_norm_spectral_u2``
     The order-2 identity ``||f||_U(2) = ||f_hat||_4`` on a transform padded to
     ``3N`` per axis, so no aliased vertex-shift offset re-enters the
@@ -23,12 +25,14 @@ and ``gowers_inner``, evaluates on its rows rescaled by powers of two
 
 The recursion here, ``gowers_inner`` and ``dual.dual_rec`` share one
 engine, ``_shift_product_sum``, which peels a stack of vertex rows (one row
-for an all-equal tuple): every order and dimension is batched the same way,
-tuples with a vanishing row are skipped, and the batches are sized from
-``budget.memory_budget()``; what depends only on the shapes and the budget
-is planned once per key (``_plan``). A dual pass pads each axis only as far
-as its output box needs (2N on the frame box) and returns the power sum with
-the field, so the ascent in ``antiuniform`` gets both from one pass.
+for an all-equal tuple, whose first peel folds each shift ``h`` with ``-h``
+and so walks half the shifts): every order and dimension is batched the
+same way, tuples with a vanishing row are skipped, and the batches are
+sized from ``budget.memory_budget()``; what depends only on the shapes and
+the budget is planned once per key (``_plan``). A dual pass pads each axis
+only as far as its output box needs (2N on the frame box) and returns the
+power sum with the field, so the ascent in ``antiuniform`` gets both from
+one pass.
 """
 
 from __future__ import annotations
@@ -161,7 +165,24 @@ def _plan(n, lo, box, budget, r):
     # on the frame box the outer factor g_top(y + h) is the shift window itself
     own = dual and box == n and not any(lo)
     peel = (slice(0, m), top, slice(min(r - 1, 1), None))
-    return padded, base_rows, h0, slab, peel_rows, wgt, gather, own, peel
+    mirror = _mirror_plan(n, lo, box) if dual and r == 1 else None
+    return padded, base_rows, h0, slab, peel_rows, wgt, gather, own, peel, mirror
+
+
+def _mirror_plan(n, lo, box):
+    # where the mirrored term of a folded shift h puts (f . u_h)(y), y on the
+    # frame: at x = y + h, as a flat index into a buffer over [-(N-1), 2N-1)
+    # per axis, split into a part per shift and a part per frame cell. h = 0
+    # has no mirror: its part points past the buffer.
+    span = tuple(3 * m - 2 for m in n)
+    strides = np.array([math.prod(span[a + 1 :]) for a in range(len(n))])
+    per_shift = strides @ np.indices(tuple(2 * m - 1 for m in n)).reshape(len(n), -1)
+    per_shift[len(per_shift) // 2] = math.prod(span)
+    per_cell = strides @ np.indices(n).reshape(len(n), -1)
+    per_shift.flags.writeable = per_cell.flags.writeable = False
+    frame = (slice(None),) + tuple(slice(-a, m - a) for a, m in zip(lo, n))
+    place = tuple(slice(a + m - 1, a + m - 1 + s) for a, m, s in zip(lo, n, box))
+    return per_shift, per_cell, frame, span, place
 
 
 def _shift_product_sum(rows, k, lo=None, box=None):
@@ -175,10 +196,19 @@ def _shift_product_sum(rows, k, lo=None, box=None):
     becomes the ``(2N-1)^d`` tuples ``(g_b . g_(b|top)^h : 0 < b < top)``,
     ``h`` in ``[-(N-1), N-1]^d`` (every larger shift gives a zero product),
     and one row ``g`` becomes ``g . g^h``, so an all-equal tuple stays one
-    row at every order. The order-2 base transforms each row once; for one
-    row it also sums ``|F|^4`` over the spectrum (Parseval): without an
-    output box the result is that power sum ``||f||_U(k)^(2^k) / w^((k+1)d)``,
-    on a transform padded to 2N per axis.
+    row at every order; its first peel keeps about half of them (below).
+    The order-2 base transforms each row once; for one row it also sums
+    ``|F|^4`` over the spectrum (Parseval): without an output box the result
+    is that power sum ``||f||_U(k)^(2^k) / w^((k+1)d)``, on a transform
+    padded to 2N per axis.
+
+    The first peel of one row ``f`` (k >= 3) folds ``h`` with ``-h``: it
+    keeps ``h = 0`` and the lexicographically positive ``h``, the tail of
+    the shift axis from its centre in C order, about half the tuples. The
+    row ``f . f^(-h)`` is ``f . f^h`` translated by ``-h``, so its U(k-1)
+    power sum is the same, counted twice for ``h != 0``, and its order-(k-1)
+    field ``u_h`` is translated too: the shift ``-h`` adds
+    ``(f . u_h)(x - h)``, which reads ``u_h`` on the frame only.
 
     With the box ``[lo, lo + box)``, the frame or the field's order-k support
     (``dual._resolve_out_box``), the result is the pair ``(field, power)``:
@@ -188,7 +218,10 @@ def _shift_product_sum(rows, k, lo=None, box=None):
     factor ``g_top(y + h)``, and the base adds the cubic correlation
     ``irfft(F_1 F_2 conj(F_3))`` (``F |F|^2`` for one row), on a transform
     padded only as far as the box needs: 2N on the frame, about 3N on the
-    support at k=2.
+    support at k=2. A folded tuple carries its first-peel shift and its
+    weight without the top factor ``f(y + h)``: the base multiplies that
+    factor in for the direct term, and scatters the mirrored term, taken on
+    the frame, to ``x = y + h`` (``np.bincount`` on planned indices).
 
     Tuples with a vanishing row or weight are dropped; in the dual mode a
     tuple dropped for its weight has a zero product as well, because both
@@ -205,48 +238,76 @@ def _shift_product_sum(rows, k, lo=None, box=None):
     at = (slice(None),) * (d + 1)
     dual = box is not None
     budget = memory_budget()
-    padded, _, _, _, _, wgt, gather, _, _ = _plan(n, lo, box, budget, len(rows))
+    plan = _plan(n, lo, box, budget, len(rows))
+    padded, wgt, gather = plan[0], plan[5], plan[6]
+    shifts = tuple(2 * m - 1 for m in n)
+    centre = math.prod(shifts) // 2  # the flat index of h = 0
+    # children of one tuple per value of the first shift coordinate
+    per = math.prod(shifts[1:])
 
-    def batches(g, w, order):
+    def batches(g, w, hs, order):
         # g: (tuples, r, *n); w: (tuples, *box), or None: every tuple weighs
-        # one (the top call)
+        # one (the top call); hs: each tuple's folded first-peel shift (flat
+        # index), or None: not folded
         r = g.shape[1]
-        _, base_rows, h0, slab, peel_rows, _, _, own, peel = _plan(n, lo, box, budget, r)
+        _, base_rows, h0, slab, peel_rows, _, _, own, peel, _ = _plan(n, lo, box, budget, r)
         low, top, high = peel
         step = base_rows if order == 2 else peel_rows
+        fold = hs is None and r == 1
         for s in range(0, len(g), step):
             gs = g[s : s + step]
             ws = None if w is None else w[s : s + step]
+            hss = None if hs is None else hs[s : s + step]
             if order == 2:
-                yield gs, ws
+                yield gs, ws, hss
                 continue
             # (tuples, *(2N-1), rows from the top on, *n)
             windows = _shift_windows(gs[:, top:], (0,) * d, n)
             outer = None
-            if dual:
+            if dual and not fold:
                 outer = windows[at + (0,)] if own else _shift_windows(gs[:, top], lo, box)
             shifted, lower = windows[at + (high,)], gs[expand + (low,)]
-            for t in range(0, h0, slab):
-                prods = (shifted[:, t : t + slab] * lower).reshape((-1,) + lower.shape[d + 1 :])
+            first = h0 // 2 if fold else 0
+            for t in range(first, h0, slab):
+                end = min(t + slab, h0)
+                prods = (shifted[:, t:end] * lower).reshape((-1,) + lower.shape[d + 1 :])
+                hs_h = None
+                if fold:  # one tuple: its children from h = 0 on
+                    cut = per // 2 if t == first else 0
+                    prods, hs_h = prods[cut:], np.arange(t * per + cut, end * per)
+                elif hss is not None:
+                    hs_h = np.repeat(hss, (end - t) * per)
                 rows_nz = prods.reshape(prods.shape[:2] + (-1,)).any(axis=2)
                 keep = np.logical_and.reduce(rows_nz, axis=1)
                 w_h = None
-                if dual:
-                    w_h = outer[:, t : t + slab]
+                if outer is not None:
+                    w_h = outer[:, t:end]
                     w_h = (w_h if ws is None else w_h * ws[expand]).reshape((-1,) + box)
                     keep &= w_h.reshape(len(w_h), -1).any(axis=1)
                 if not keep.all():
                     prods = prods[keep]
                     w_h = None if w_h is None else w_h[keep]
-                yield from batches(prods, w_h, order - 1)
+                    hs_h = None if hs_h is None else hs_h[keep]
+                yield from batches(prods, w_h, hs_h, order - 1)
 
     total = 0.0
     field = np.zeros(box) if dual else None
-    for g, w in batches(rows[None], None, k):
+    mirrors = plan[9] is not None and k >= 3
+    if mirrors:
+        per_shift, per_cell, frame, span, place = plan[9]
+        size = math.prod(span)
+        mirrored = np.zeros(size)
+        # the top factor f(y + h) on the box, per shift
+        top_factor = _shift_windows(rows, lo, box)[0]
+    for g, w, hs in batches(rows[None], None, None, k):
         spec = np.fft.rfftn(g.reshape((-1,) + n), s=padded, axes=axes)
         if g.shape[1] == 1:
             a = spec.real * spec.real + spec.imag * spec.imag
-            total += float(np.sum((a * a) @ wgt))
+            sums = (a * a) @ wgt
+            if hs is None:
+                total += float(np.sum(sums))
+            else:  # h != 0 stands for -h too
+                total += float(sums.reshape(len(g), -1).sum(axis=1) @ (2.0 - (hs == centre)))
             if not dual:
                 continue
             cubic = spec * a
@@ -254,7 +315,18 @@ def _shift_product_sum(rows, k, lo=None, box=None):
             spec = spec.reshape(g.shape[:2] + spec.shape[1:])
             cubic = spec[:, 0] * spec[:, 1] * spec[:, 2].conj()
         z = np.fft.irfftn(cubic, s=padded, axes=axes)[gather]
-        field += z[0] if w is None else np.einsum("i...,i...->...", w, z)
+        if hs is None:
+            field += z[0] if w is None else np.einsum("i...,i...->...", w, z)
+            continue
+        direct, back = top_factor[np.unravel_index(hs, shifts)], z[frame] * rows[0]
+        if w is not None:
+            direct *= w
+            back *= w[frame]
+        field += np.einsum("i...,i...->...", direct, z)
+        where = (per_shift[hs][:, None] + per_cell).reshape(-1)
+        mirrored += np.bincount(where, back.reshape(-1), size)[:size]
+    if mirrors:
+        field += mirrored.reshape(span)[place]
     power = total / math.prod(padded) if len(rows) == 1 else None
     return (field, power) if dual else power
 

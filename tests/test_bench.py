@@ -67,4 +67,5 @@ class TestWorkModel:
         dual_rec(random_function("random-nonneg", d, n, 1.0 / n, 3), 3)
         assert lengths and set(lengths) == {(2 * n,) * d}
         modelled = _kernel_table()["d3-rec"]["work"](n, d)
-        assert modelled == (2 * n - 1) ** d * fft_work(lengths[0])
+        # the all-equal tuple folds each first-peel shift h with -h
+        assert modelled == ((2 * n - 1) ** d + 1) // 2 * fft_work(lengths[0])

@@ -21,8 +21,9 @@ from ghk import (
     scale,
     shift,
 )
-from ghk import kernels
+from ghk import kernels, norms
 from ghk.budget import brute_dual_work
+from ghk.dual import _resolve_out_box
 from ghk.families import random_function, random_tuple
 from ghk.grid import embed, union_box
 from ghk.records import IDENTITY_TOL
@@ -617,3 +618,66 @@ class TestScaleSafeProducts:
     def test_out_of_range_raises(self, check, t):
         with pytest.raises(OverflowError, match="outside the normal float64 range"):
             check(*self.pair(t))
+
+
+class TestFoldedField:
+    """The one-row engine folds each first-peel shift h with -h and adds the
+    mirrored term ``(f . u_h)(x - h)``; the general path (``2^k - 1`` equal
+    rows, no fold and no all-equal collapse) and ``dual_brute`` check it."""
+
+    SHAPES = [
+        (1, 3, 5), (1, 4, 4), (2, 3, 3), (2, 4, 2), (3, 3, 2), (3, 4, 2),
+        (1, 3, 1), (2, 4, 1), (3, 3, 1),
+    ]
+
+    @staticmethod
+    def engine_fields(values, k, out_box):
+        lo, box = _resolve_out_box(values.shape, k, out_box)
+        one, _ = norms._shift_product_sum(values[None], k, lo, box)
+        rows = np.repeat(values[None], (1 << k) - 1, axis=0)
+        general, _ = norms._shift_product_sum(rows, k, lo, box)
+        scale_ref, _ = norms._shift_product_sum(np.abs(values)[None], k, lo, box)
+        return one, general, max(1e-300, np.abs(scale_ref).max())
+
+    @pytest.mark.parametrize("out_box", [None, "full"])
+    @pytest.mark.parametrize("family", ["random-signed", "random-nonneg", "indicator-box"])
+    @pytest.mark.parametrize("d, k, n", SHAPES)
+    def test_matches_general_path_and_brute(self, d, k, n, family, out_box):
+        f = random_function(family, d, n, 0.25, 56)
+        one, general, scale_ref = self.engine_fields(f.values, k, out_box)
+        np.testing.assert_allclose(one, general, rtol=0, atol=1e-13 * scale_ref)
+        assert_rec_matches_brute(f, k, out_box)
+
+    @pytest.mark.parametrize("out_box", [None, "full"])
+    @pytest.mark.parametrize("shape", [(3, 1), (1, 3), (2, 3, 1), (1, 2, 3)])
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_uneven_frames(self, shape, k, out_box):
+        # the centre of the shift axis lies inside the first slab's rows
+        values = np.random.default_rng(57).uniform(-1.0, 1.0, shape)
+        one, general, scale_ref = self.engine_fields(values, k, out_box)
+        np.testing.assert_allclose(one, general, rtol=0, atol=1e-13 * scale_ref)
+
+    @pytest.mark.parametrize("out_box", [None, "full"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_single_cell_counts_zero_shift_once(self, d, k, out_box):
+        # only h = 0 has a nonzero product: the field is c^(2^k - 1) w^(kd)
+        # at the cell and zero elsewhere, with nothing mirrored
+        values = np.zeros((4 if d < 3 else 2,) * d)
+        values[(1,) * d] = 1.5
+        f = from_values(values, 0.5)
+        r = assert_rec_matches_brute(f, k, out_box)
+        peak = 1.5 ** ((1 << k) - 1) * 0.5 ** (k * d)
+        cell = tuple(1 - a for a in r.origin)
+        assert r.values[cell] == pytest.approx(peak, rel=1e-13)
+        rest = np.delete(r.values.ravel(), np.ravel_multi_index(cell, r.extents))
+        assert np.abs(rest).max(initial=0.0) <= 1e-13 * peak
+
+    @pytest.mark.parametrize("out_box", [None, "full"])
+    @pytest.mark.parametrize("d, k, n", [(1, 3, 8), (1, 4, 5), (2, 3, 3), (3, 3, 2)])
+    def test_split_batches(self, small_batches, d, k, n, out_box):
+        f = rand_grid(58, n=n, d=d, signed=True)
+        one, general, scale_ref = self.engine_fields(f.values, k, out_box)
+        assert len(small_batches) > 1
+        np.testing.assert_allclose(one, general, rtol=0, atol=1e-13 * scale_ref)
+        assert_rec_matches_brute(f, k, out_box)

@@ -19,7 +19,13 @@ from ghk import (
     scale,
     shift,
 )
-from ghk.budget import DEFAULT_MEMORY_BUDGET_BYTES, memory_budget, set_memory_budget
+from ghk.budget import (
+    DEFAULT_MEMORY_BUDGET_BYTES,
+    fft_work,
+    memory_budget,
+    rec_gowers_work,
+    set_memory_budget,
+)
 from ghk.dual import _norm_and_dual, dual_brute
 from ghk.exponents import exponent_triple
 from ghk import kernels, norms
@@ -454,3 +460,109 @@ class TestThreeDimensional:
         f = from_values(rng.random((3, 3, 3)), 0.5)
         b = gowers_norm_brute(f, 3)
         assert abs(gowers_norm_rec(f, 3) - b) <= 1e-9 * max(1.0, b)
+
+
+#: (d, k, N) of the folded-shift tests: k = 3 and 4 on d = 1..3, and N = 1
+FOLD_SHAPES = [
+    (1, 3, 5), (1, 4, 4), (2, 3, 3), (2, 4, 2), (3, 3, 2), (3, 4, 2),
+    (1, 3, 1), (2, 4, 1), (3, 3, 1),
+]
+FAMILIES = ["random-signed", "random-nonneg", "indicator-box"]
+
+
+def general_power(values, k):
+    """The power sum of the all-equal tuple through the engine's general
+    path: ``2^k - 1`` equal rows, which it peels without folding any shift,
+    paired with ``f`` on the frame."""
+    rows = np.repeat(values[None], (1 << k) - 1, axis=0)
+    field, _ = norms._shift_product_sum(rows, k, (0,) * values.ndim, values.shape)
+    return float(np.sum(values * field))
+
+
+class TestFoldedPowerSum:
+    """The one-row engine folds each first-peel shift h with -h; the general
+    path, the brute sum and a single-cell input check the fold."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("d, k, n", FOLD_SHAPES)
+    def test_matches_general_path_and_brute(self, d, k, n, family):
+        f = random_function(family, d, n, 0.25, 51)
+        got = norms._shift_product_sum(f.values[None], k)
+        scale_ref = norms._shift_product_sum(np.abs(f.values)[None], k)
+        assert abs(got - general_power(f.values, k)) <= 1e-13 * scale_ref
+        b = gowers_norm_brute(f, k)
+        assert gowers_norm_rec(f, k) == pytest.approx(b, rel=1e-12, abs=1e-300)
+
+    @pytest.mark.parametrize("shape", [(3, 1), (1, 3), (2, 3, 1), (1, 2, 3)])
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_uneven_frames(self, shape, k):
+        # the centre of the shift axis lies inside the first slab's rows
+        values = np.random.default_rng(52).uniform(-1.0, 1.0, shape)
+        got = norms._shift_product_sum(values[None], k)
+        assert got == pytest.approx(general_power(values, k), rel=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_single_cell_counts_zero_shift_once(self, d, k):
+        # only h = 0 has a nonzero product: the power sum is c^(2^k)
+        values = np.zeros((4,) * d)
+        values[(1,) * d] = 1.5
+        got = norms._shift_product_sum(values[None], k)
+        assert got == pytest.approx(1.5 ** (1 << k), rel=1e-13)
+
+    @pytest.mark.parametrize("d, k, n", [(1, 3, 8), (1, 4, 5), (2, 3, 3), (3, 3, 2)])
+    def test_split_batches(self, small_batches, d, k, n):
+        f = rand_grid(53, n=n, d=d, signed=True)
+        got = norms._shift_product_sum(f.values[None], k)
+        assert len(small_batches) > 1
+        scale_ref = norms._shift_product_sum(np.abs(f.values)[None], k)
+        assert abs(got - general_power(f.values, k)) <= 1e-13 * scale_ref
+        assert gowers_norm_rec(f, k) == pytest.approx(gowers_norm_brute(f, k), rel=1e-12)
+
+
+def modelled_rows(extents, k, rows, out_extents=None):
+    """The forward transform rows that ``budget.rec_gowers_work`` models."""
+    if out_extents is None:
+        return rec_gowers_work(extents, k, rows) // fft_work([2 * n for n in extents])
+    lengths = [n + m for n, m in zip(extents, out_extents)]
+    per_base = (rows + 1) * fft_work(lengths)
+    return rec_gowers_work(extents, k, rows, out_extents) * rows // per_base
+
+
+class TestRecWorkModel:
+    """``budget.rec_gowers_work`` against the rows the engine transforms."""
+
+    @staticmethod
+    def count_rows(monkeypatch):
+        rows = []
+        rfftn = np.fft.rfftn
+
+        def counting(a, *args, **kwargs):
+            rows.append(len(a))
+            return rfftn(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfftn", counting)
+        return rows
+
+    @pytest.mark.parametrize("family", ["random-nonneg", "indicator-box"])
+    @pytest.mark.parametrize("out_box", [None, "full"])
+    @pytest.mark.parametrize("d, n", [(1, 5), (2, 3), (3, 2)])
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_model_counts_transformed_rows(self, monkeypatch, k, d, n, out_box, family):
+        rows = self.count_rows(monkeypatch)
+        f = random_function(family, d, n, 0.25, 54)
+        # on random-nonneg, which has no zero cell, the one-row model is exact
+        exact = family == "random-nonneg"
+        ext = f.extents
+        gowers_norm_rec(f, k)
+        assert sum(rows) <= modelled_rows(ext, k, 1)
+        assert sum(rows) == modelled_rows(ext, k, 1) or not exact
+        rows.clear()
+        field = dual_rec(f, k, out_box=out_box)
+        assert sum(rows) <= modelled_rows(ext, k, 1, field.extents)
+        assert sum(rows) == modelled_rows(ext, k, 1, field.extents) or not exact
+        rows.clear()
+        fs = random_tuple(family, k, d, n, 0.25, 55, punctured=True)
+        field = dual_rec(fs, out_box=out_box)
+        assert sum(rows) <= modelled_rows(ext, k, 3, field.extents)
+        assert sum(rows) > 0 or not exact
