@@ -113,22 +113,18 @@ def rec_gowers_work(extents, k, rows=1, out_extents=None):
     padded forward transforms (1 for an all-equal tuple, 3 for a general
     one) of length 2N per axis.
 
-    A general tuple is modelled with all ``(2N-1)^((k-2)d)`` bases. An
-    all-equal tuple is modelled with the bases the engine keeps when no cell
-    is zero: the shifts ``h_1 .. h_(k-2)`` whose product does not vanish
-    (``|h_1| + ... + |h_(k-2)| <= N - 1`` per axis), with ``h_1`` folded
-    with ``-h_1`` (k >= 3). At k=3 that is ``ceil((2N-1)^d / 2)``. A dual
-    field (``out_extents`` given) adds one inverse transform per base and
-    pads each axis to at most ``N + out_N``.
+    The bases are those the engine keeps when no cell is zero: the shifts
+    ``h_1 .. h_(k-2)`` whose product does not vanish (``|h_1| + ... +
+    |h_(k-2)| <= N - 1`` per axis), for an all-equal tuple with ``h_1``
+    folded with ``-h_1`` (k >= 3). At k=3 that is ``(2N-1)^d`` bases, and
+    ``ceil((2N-1)^d / 2)`` for an all-equal tuple. A dual field
+    (``out_extents`` given) adds one inverse transform per base and pads
+    each axis to at most ``N + out_N``.
     """
     j = max(int(k) - 2, 0)
+    bases = math.prod(_cross_points(int(n), j) for n in extents)
     if int(rows) == 1 and j:
-        bases = (
-            math.prod(_cross_points(int(n), j) for n in extents)
-            + math.prod(_cross_points(int(n), j - 1) for n in extents)
-        ) // 2
-    else:
-        bases = math.prod((2 * int(n) - 1) for n in extents) ** j
+        bases = (bases + math.prod(_cross_points(int(n), j - 1) for n in extents)) // 2
     if out_extents is None:
         return bases * int(rows) * fft_work([2 * int(n) for n in extents])
     lengths = [int(n) + int(m) for n, m in zip(extents, out_extents)]

@@ -101,13 +101,9 @@ def _tuple_from_files(paths, k, punctured):
 
 
 def _cmd_dual(args):
-    if args.algo == "rec":
-        if len(args.inputs) != 1:
-            raise ValueError("the recursive route takes a single input grid")
-        out = dual_rec(read_grid(args.inputs[0]), args.k)
-    else:
-        fs = _tuple_from_files(args.inputs, args.k, punctured=True)
-        out = dual_brute(fs, work_budget=args.budget)
+    fs = _tuple_from_files(args.inputs, args.k, punctured=True)
+    route = dual_rec if args.algo == "rec" else dual_brute
+    out = route(fs, work_budget=args.budget)
     write_grid(out, args.out)
     _print(
         {"out": args.out, "extents": list(out.extents), "origin": list(out.origin)},

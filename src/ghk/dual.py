@@ -121,8 +121,8 @@ def dual_rec(f, k=None, out_box=None, work_budget=None):
     ``f_alpha = f`` of a grid function ``f`` and order ``k``, on its frame
     (``out_box=None``) or its order-k support (``out_box="full"``).
 
-    Cost is ``(2N-1)^((k-2)d)`` order-2 bases of three padded transforms
-    each, instead of the ``(2N)^(kd)`` shift sum of :func:`dual_brute`. An
+    Cost is at most ``(2N-1)^((k-2)d)`` order-2 bases of three padded
+    transforms each, instead of the ``(2N)^(kd)`` shift sum of :func:`dual_brute`. An
     all-equal tuple is carried as one row with one transform per base, and
     at k >= 3 its first peel folds each shift ``h`` with ``-h``, which
     halves its bases. The cost model ``budget.rec_gowers_work`` is checked

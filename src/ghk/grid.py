@@ -38,11 +38,7 @@ def _as_origin(origin, dim):
     return origin
 
 
-#: ``weakref_slot`` needs Python 3.11; older interpreters keep a ``__dict__``.
-_SLOTS = dict(slots=True, weakref_slot=True) if sys.version_info >= (3, 11) else {}
-
-
-@dataclass(frozen=True, eq=False, **_SLOTS)
+@dataclass(frozen=True, eq=False, slots=True, weakref_slot=True)
 class GridFunction:
     """A real step function sampled on a uniform lattice.
 

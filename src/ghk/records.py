@@ -14,7 +14,7 @@ import functools
 import hashlib
 import json
 import math
-import struct
+from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -50,113 +50,50 @@ def safe_ratio(lhs, rhs):
 _NO_ENTRIES = MappingProxyType({})
 
 
-class _Kind:
-    # what the records of one check at one set of coordinates share
-    __slots__ = ("name", "passed", "params")
-
-    def __init__(self, name, passed, params):
-        self.name, self.passed, self.params = name, passed, params
+@functools.lru_cache(maxsize=1024)
+def _interned_params(key, items):
+    return MappingProxyType(dict(items))
 
 
-@functools.lru_cache(maxsize=1024, typed=True)
-def _interned_kind(name, passed, key, items):
-    return _Kind(name, passed, MappingProxyType(dict(items)))
+def shared_params(params):
+    """A read-only copy of ``params``, one object for all equal ``params``.
 
-
-def _kind(name, passed, params):
-    # one shared kind per (name, pass flag, params); the params' repr is part
-    # of the key, so that 2 and 2.0 stay apart
+    Equal means equal ``repr`` of the items, so that 2 and 2.0 stay apart.
+    """
+    if not params:
+        return _NO_ENTRIES
     items = tuple(params.items())
-    return _interned_kind(name, passed, repr(items), items)
+    return _interned_params(repr(items), items)
 
 
-@functools.lru_cache(maxsize=256)
-def _interned_keys(keys):
-    return keys
-
-
-def _pack(*numbers):
-    return struct.pack(f"{len(numbers)}d", *numbers)
-
-
-def _unpack(packed):
-    return struct.unpack(f"{len(packed) // 8}d", packed)
-
-
+@dataclass(slots=True, eq=False)
 class CheckRecord:
     """One check instance: the two sides ``lhs`` and ``rhs``, the pass flag
     ``passed``, the ``seed``, the coordinates ``params``, the ``extra``
     values and the runtime. ``ratio`` is ``safe_ratio(lhs, rhs)``.
 
-    A sweep or a benchmark may keep many records, so a record is four
-    references. The name, pass flag and a read-only ``params`` are one kind
-    shared by every record with equal ones. ``lhs``, ``rhs``, ``runtime_ms``
-    and the values of an ``extra`` whose values are all floats are packed as
-    float64; any other ``extra`` is kept as a dict. ``params`` and ``extra``
-    read back as read-only mappings.
+    A sweep or a benchmark may keep many records, so ``params`` is one
+    read-only mapping shared by every record with equal ones
+    (:func:`shared_params`), and an empty ``extra`` is one shared mapping.
     """
 
-    __slots__ = ("_kind", "seed", "_extra", "_numbers")
+    name: str
+    lhs: float
+    rhs: float
+    passed: bool | None
+    seed: int | None = None
+    params: Mapping = None
+    runtime_ms: float = 0.0
+    extra: Mapping = None
 
-    def __init__(self, name, lhs, rhs, passed, seed=None, params=_NO_ENTRIES,
-                 runtime_ms=0.0, extra=_NO_ENTRIES):
-        self._kind = _kind(name, passed, params)
-        self.seed = seed
-        packed = ()
-        if not extra:
-            self._extra = _NO_ENTRIES
-        elif all(type(v) is float for v in extra.values()):
-            self._extra = _interned_keys(tuple(extra))
-            packed = extra.values()
-        else:
-            self._extra = MappingProxyType(dict(extra))
-        self._numbers = _pack(lhs, rhs, runtime_ms, *packed)
-
-    @property
-    def name(self):
-        return self._kind.name
-
-    @property
-    def passed(self):
-        return self._kind.passed
-
-    @property
-    def params(self):
-        return self._kind.params
-
-    @params.setter
-    def params(self, params):
-        self._kind = _kind(self.name, self.passed, params)
-
-    @property
-    def lhs(self):
-        return _unpack(self._numbers)[0]
-
-    @property
-    def rhs(self):
-        return _unpack(self._numbers)[1]
+    def __post_init__(self):
+        self.params = shared_params(self.params)
+        if not self.extra:
+            self.extra = _NO_ENTRIES
 
     @property
     def ratio(self):
         return safe_ratio(self.lhs, self.rhs)
-
-    @property
-    def runtime_ms(self):
-        return _unpack(self._numbers)[2]
-
-    @runtime_ms.setter
-    def runtime_ms(self, value):
-        lhs, rhs, _, *packed = _unpack(self._numbers)
-        self._numbers = _pack(lhs, rhs, value, *packed)
-
-    @property
-    def extra(self):
-        if isinstance(self._extra, tuple):
-            return MappingProxyType(dict(zip(self._extra, _unpack(self._numbers)[3:])))
-        return self._extra
-
-    def __repr__(self):
-        return f"CheckRecord({self.as_dict()!r})"
 
     def as_dict(self, include_runtime=True):
         doc = {

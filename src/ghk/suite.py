@@ -49,6 +49,7 @@ from .records import (
     check_record,
     config_hash,
     instance_params,
+    shared_params,
 )
 
 DEFAULT_CONFIG = {
@@ -117,7 +118,7 @@ def _nonneg_pair(ctx, k, d, n, seed):
 
 def _tagged(rec):
     # the library checks record the tuple's coordinates; the suite adds its family
-    rec.params = {**rec.params, "family": "random-nonneg"}
+    rec.params = shared_params({**rec.params, "family": "random-nonneg"})
     return rec
 
 

@@ -17,6 +17,7 @@ from ghk import (
 from ghk.cli import main
 from ghk.cubes import FunctionTuple
 from ghk.families import random_function
+from ghk.records import ORACLE_TOL
 
 
 @pytest.fixture
@@ -134,6 +135,31 @@ class TestDualCmd:
         )
         assert code == 0
         assert read_ghk(out_path) == dual_rec(grids["_f"], 2)
+
+    def test_rec_budget_overflow_diagnostic(self, capsys, grids, tmp_path):
+        code, _, err = run_cli(
+            capsys, "dual", "--k", "2", "--algo", "rec", "--in", grids["f"],
+            "--out", str(tmp_path / "D.ghk"), "--budget", "10",
+        )
+        assert code == 2
+        assert json.loads(err)["error"] == "BudgetExceededError"
+
+    def test_tuple_routes_agree(self, capsys, grids, tmp_path):
+        h = random_function("random-signed", 1, 8, 0.125, 44)
+        write_ghk(h, str(tmp_path / "h.ghk"))
+        inputs = ["--in", grids["f"], "--in", grids["g"], "--in", str(tmp_path / "h.ghk")]
+        fields = []
+        for algo in ("brute", "rec"):
+            out_path = str(tmp_path / f"D_{algo}.ghk")
+            code, _, _ = run_cli(
+                capsys, "dual", "--k", "2", "--algo", algo, *inputs, "--out", out_path
+            )
+            assert code == 0
+            fields.append(read_ghk(out_path))
+        brute, rec = fields
+        assert (rec.extents, rec.origin) == (brute.extents, brute.origin)
+        scale = max(1.0, float(np.max(np.abs(brute.values))))
+        assert np.max(np.abs(rec.values - brute.values)) <= ORACLE_TOL * scale
 
 
 class TestCheckCmd:

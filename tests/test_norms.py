@@ -547,11 +547,11 @@ class TestRecWorkModel:
     @pytest.mark.parametrize("family", ["random-nonneg", "indicator-box"])
     @pytest.mark.parametrize("out_box", [None, "full"])
     @pytest.mark.parametrize("d, n", [(1, 5), (2, 3), (3, 2)])
-    @pytest.mark.parametrize("k", [3, 4])
+    @pytest.mark.parametrize("k", [3, 4, 5])
     def test_model_counts_transformed_rows(self, monkeypatch, k, d, n, out_box, family):
         rows = self.count_rows(monkeypatch)
         f = random_function(family, d, n, 0.25, 54)
-        # on random-nonneg, which has no zero cell, the one-row model is exact
+        # on random-nonneg, which has no zero cell, the model is exact
         exact = family == "random-nonneg"
         ext = f.extents
         gowers_norm_rec(f, k)
@@ -565,4 +565,4 @@ class TestRecWorkModel:
         fs = random_tuple(family, k, d, n, 0.25, 55, punctured=True)
         field = dual_rec(fs, out_box=out_box)
         assert sum(rows) <= modelled_rows(ext, k, 3, field.extents)
-        assert sum(rows) > 0 or not exact
+        assert sum(rows) == modelled_rows(ext, k, 3, field.extents) or not exact

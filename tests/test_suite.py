@@ -64,7 +64,7 @@ class TestRecords:
         assert b.ratio == float("inf")
 
     def test_record_numbers_round_trip(self):
-        # packed float64 values read back exactly, runtimes included
+        # extreme float values read back exactly, runtimes included
         values = (-0.0, 5e-324, 1.7976931348623157e308, float("inf"), 0.1)
         extra = {"a": 0.3, "b": -2.5e-300}
         for lhs in values:
@@ -75,6 +75,15 @@ class TestRecords:
         mixed = check_record("x", 1.0, 2.0, True, {}, extra={"n": 3, "ok": True})
         assert mixed.as_dict()["extra"] == {"n": 3, "ok": True}
         assert isinstance(mixed.as_dict()["extra"]["n"], int)
+
+    @pytest.mark.parametrize("name", ["eq2.1-lemma1", "oracle-norm"])
+    def test_suite_records_share_params(self, name):
+        # a benchmark keeps every record: equal params must be one object
+        a, _ = run_check(SMALL_CONFIG, name, 2, 1, 5)
+        b, _ = run_check(SMALL_CONFIG, name, 2, 1, 6)
+        assert a.params["family"] == "random-nonneg"
+        assert a.params is b.params
+        assert a.extra is b.extra is records._NO_ENTRIES
 
     def test_suite_tags_a_copy(self):
         # the suite adds its family without touching the library's mapping
