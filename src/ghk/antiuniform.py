@@ -61,10 +61,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .budget import check_work, rec_gowers_work
-from .dual import _norm_and_dual
 from .exponents import exponent_triple
 from .grid import GridFunction, _frozen, _lp_norm, common_frame, embed, inner, lp_norm, scale
-from .norms import gowers_norm_rec
+from .norms import _norm_and_dual, gowers_norm_rec
 
 #: First trial step of the ascent; every later first trial is a
 #: Barzilai-Borwein step.
@@ -73,6 +72,12 @@ STEP_INIT = 1.0
 BACKTRACK = 0.5
 #: A trial step that shrinks to this ends the ascent as converged.
 STEP_MIN = 1e-16
+#: Relative gain over the objective that a trial step must exceed.
+ACCEPT_SLACK = 1e-15
+#: Relative rise of the stationarity residual that a gated step may not exceed.
+RESIDUAL_SLACK = 1e-12
+#: Relative excess of ``||phi||_p_k`` over one above which corollary5 rescales.
+PNORM_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -285,13 +290,13 @@ def _ascend(g, k, ball, opts, candidates):
             nrm = ball.norm_from(trial, u)
             if nrm > 0.0:
                 val_try = cell * float(np.sum(gv * trial)) / nrm
-                if val_try > val * (1.0 + 1e-15):
+                if val_try > val * (1.0 + ACCEPT_SLACK):
                     dual_try = dual / nrm ** (two_k - 1)
                     f_try = _require_finite(trial * (1.0 / nrm))
                     grad_try = _direction(gv, f_try, val_try, dual_try, ball)
                     # the gated residual is the direction's L^s norm
                     resid_try = _lp_norm(grad_try, cell, ball.s) if ball.gated else None
-                    if not ball.gated or not resid_try > resid * (1.0 + 1e-12):
+                    if not ball.gated or not resid_try > resid * (1.0 + RESIDUAL_SLACK):
                         step = _bb_step(f_try - f, grad_try - grad, s / BACKTRACK)
                         prev, f, val, u_f = val, f_try, val_try, u / nrm
                         dual_f, grad, resid = dual_try, grad_try, resid_try
@@ -436,7 +441,7 @@ def corollary5(phi, k, opts=None):
     k = int(k)
     trip = exponent_triple(k)
     pnorm = lp_norm(phi, trip.p_float)
-    if pnorm > 1.0 + 1e-12:
+    if pnorm > 1.0 + PNORM_SLACK:
         phi = scale(phi, 1.0 / pnorm)
     theta, dual_phi = _norm_and_dual(phi.values, phi.spacing, k)
     if theta <= 0.0:

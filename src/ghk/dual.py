@@ -13,22 +13,12 @@ evaluate on the support. Both routes below take the support box from
 ``_resolve_out_box``.
 
 ``dual_rec`` takes a punctured tuple, or a grid function ``f`` and ``k`` for
-the all-equal tuple, and peels the top cube coordinate,
-
-    D_k(f_alpha)(x) = w^d sum_t f_top(x+t) D_(k-1)(f_b . f_(b|top)(.+t) : b)(x),
-
-down to an order-2 base evaluated by FFT, ``irfftn(F_1 F_2 conj(F_3))``,
-through the shift-product engine it shares with ``norms.gowers_norm_rec``
-and ``norms.gowers_inner``. An all-equal tuple stays all-equal under every
-peel, so the engine carries it as one row with one spectrum, and its first
-peel walks half the shifts: ``h`` and ``-h`` give translates of one row. The
-route matches ``dual_brute`` pointwise to float roundoff at a fraction of
-the cost, and every check below evaluates its fields by it; ``dual_brute``
-and the pair kernel of ``product_identity_gap`` remain the oracles. The engine
-pads each axis only as far as the box needs: 2N on the frame box, about 3N
-on the support at k=2, less at higher k, whose support is narrower.
-``_norm_and_dual`` takes the norm and the field on the frame from one pass.
-Both routes evaluate on each row rescaled by a power of two.
+the all-equal tuple, and evaluates the field by the shift-product engine in
+``norms``, which peels the top cube coordinate down to an order-2 FFT base.
+It matches ``dual_brute`` pointwise to float roundoff at a fraction of the
+cost, and every check below evaluates its fields by it; ``dual_brute`` and
+the pair kernel of ``product_identity_gap`` remain the oracles. Both routes
+evaluate on each row rescaled by a power of two.
 """
 
 from __future__ import annotations
@@ -40,21 +30,10 @@ from .budget import brute_dual_work, brute_pair_work, check_work
 from .cubes import FunctionTuple
 from .exponents import exponent_triple
 from .grid import (
-    GridFunction,
-    _check_pow2,
-    _frozen,
-    _scale_back,
-    _unit_binade,
-    add,
-    common_frame,
-    fourier,
-    intersection_box,
-    lp_norm,
-    pointwise_mul,
-    scale,
-    shift,
+    GridFunction, _field_from, _frozen, _scale_back, _unit_binade, _unit_rows, add,
+    common_frame, fourier, intersection_box, lp_norm, pointwise_mul, scale, shift,
 )
-from .norms import _dual_unit, _norm_from_power, _shift_product_sum, _unit_rows
+from .norms import _dual_unit
 from .records import FOURIER_SLACK, IDENTITY_TOL, INEQ_SLACK, check_record, instance_params
 
 
@@ -109,27 +88,18 @@ def dual_brute(fs, out_box=None, work_budget=None):
     return GridFunction(_frozen(field), fs.spacing, origin)
 
 
-def _field_from(field, k, e):
-    """The dual field from one whose factors were rescaled by ``2**-e`` in
-    all (one factor per row, so ``e`` sums the rows' exponents)."""
-    _check_pow2(float(np.abs(field).max()), e, f"order-{k} dual field")
-    return np.ldexp(field, e)
-
-
 def dual_rec(f, k=None, out_box=None, work_budget=None):
     """Recursive dual field of a punctured tuple, or of the all-equal tuple
     ``f_alpha = f`` of a grid function ``f`` and order ``k``, on its frame
     (``out_box=None``) or its order-k support (``out_box="full"``).
 
     Cost is at most ``(2N-1)^((k-2)d)`` order-2 bases of three padded
-    transforms each, instead of the ``(2N)^(kd)`` shift sum of :func:`dual_brute`. An
-    all-equal tuple is carried as one row with one transform per base, and
-    at k >= 3 its first peel folds each shift ``h`` with ``-h``, which
-    halves its bases. The cost model ``budget.rec_gowers_work`` is checked
-    against ``work_budget`` first.
-    Evaluated on each row rescaled by a power of two, so the field comes back
-    correctly scaled, or ``OverflowError`` is raised when its largest
-    magnitude is not a normal float64.
+    transforms each (one for an all-equal tuple, about half as many bases at
+    k >= 3), instead of the ``(2N)^(kd)`` shift sum of :func:`dual_brute`;
+    the cost model ``budget.rec_gowers_work`` is checked against
+    ``work_budget`` first. Evaluated on each row rescaled by a power of two,
+    so the field comes back correctly scaled, or ``OverflowError`` is raised
+    when its largest magnitude is not a normal float64.
     """
     if isinstance(f, FunctionTuple):
         _require_punctured(f, "dual_rec")
@@ -161,22 +131,6 @@ def _dual_rec_unit(fs, out_box, work_budget):
     raw, e = _dual_unit(stack, fs.k, rel_lo, out_shape, work_budget)
     origin = tuple(fl + rl for fl, rl in zip(lo, rel_lo))
     return GridFunction(_frozen(raw * fs.spacing ** (fs.k * fs.dim)), fs.spacing, origin), e
-
-
-def _norm_and_dual(values, spacing, k):
-    """``(||f||_U(k), D_k f on the frame)`` for frame values, from one pass
-    of the engine.
-
-    The field equals ``dual_rec(f, k).values`` bit for bit; the norm is the
-    power sum the same pass takes from its base spectra, exact because the
-    frame box contains the frame.
-    """
-    scaled, e = _unit_binade(values)
-    raw, power = _shift_product_sum(scaled[None], k, (0,) * scaled.ndim, scaled.shape)
-    return (
-        _norm_from_power(power * spacing ** ((k + 1) * scaled.ndim), k, e),
-        _field_from(raw * spacing ** (k * scaled.ndim), k, e * ((1 << k) - 1)),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -261,6 +261,20 @@ def _scale_back(value, e, what):
     return math.ldexp(value, e)
 
 
+def _unit_rows(stack):
+    """Each row of ``stack`` by :func:`_unit_binade`, with the sum of the
+    exponents: the scale of a product that takes one factor per row."""
+    rows, exps = zip(*map(_unit_binade, stack))
+    return np.stack(rows), sum(exps)
+
+
+def _field_from(field, k, e):
+    """The dual field from one whose factors were rescaled by ``2**-e`` in
+    all (one factor per row, so ``e`` sums the rows' exponents)."""
+    _check_pow2(float(np.abs(field).max()), e, f"order-{k} dual field")
+    return np.ldexp(field, e)
+
+
 def inner(f, g):
     """Exact pairing ``w^d sum f*g`` over the common lattice box."""
     _require_same_spacing(f, g)

@@ -28,17 +28,19 @@ engine, ``_shift_product_sum``, which peels a stack of vertex rows (one row
 for an all-equal tuple, whose first peel folds each shift ``h`` with ``-h``
 and so walks half the shifts): every order and dimension is batched the
 same way, tuples with a vanishing row are skipped, and the batches are
-sized from ``budget.memory_budget()``; what depends only on the shapes and
-the budget is planned once per key (``_plan``). A dual pass pads each axis
-only as far as its output box needs (2N on the frame box) and returns the
-power sum with the field, so the ascent in ``antiuniform`` gets both from
-one pass.
+sized from ``budget.memory_budget()`` at each call; what depends only on
+the input shape and the output box is planned once per pair (``_plan``).
+Only this module calls the engine; the others call its passes:
+``_dual_unit`` for a dual field and ``_norm_and_dual``, which pads each axis
+to 2N and returns the norm with the field on the frame, so the ascent in
+``antiuniform`` gets both from one pass.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections import namedtuple
 
 import numpy as np
 
@@ -52,8 +54,10 @@ from .budget import (
 )
 from .cubes import FunctionTuple
 from .exponents import exponent_triple
-from .grid import GridFunction, _frozen, _scale_back, _unit_binade, fourier, lp_norm
-from .records import INEQ_SLACK, check_record, instance_params
+from .grid import (
+    GridFunction, _field_from, _frozen, _scale_back, _unit_binade, _unit_rows, fourier, lp_norm,
+)
+from .records import INEQ_SLACK, check_record, instance_params, safe_ratio
 
 #: Clamp threshold for negative power-sum accumulations (relative to the
 #: absolute-product mass); anything more negative signals a kernel bug.
@@ -127,16 +131,24 @@ def _order2_length(lo, hi, m):
     return need + need % 2
 
 
+_Plan = namedtuple("_Plan", "padded wgt gather own mirror")
+
+
 @functools.lru_cache(maxsize=64)
-def _plan(n, lo, box, budget, r):
-    """What :func:`_shift_product_sum` derives from its shapes, the memory
-    budget and the row count ``r`` of the tuples it peels, once per key
-    (read-only arrays)."""
+def _plan(n, lo, box):
+    """What :func:`_shift_product_sum` derives from the frame extents ``n``
+    and the output box ``[lo, lo + box)`` (``None``: the power sum alone),
+    once per key, in read-only arrays: the base's transform lengths, the
+    Hermitian weights of the last axis's bins, and for a box its gather
+    index, the frame-box flag ``own`` and the :func:`_mirror_plan`."""
     dual = box is not None
-    gather = None
+    if not dual:  # the power sum pads as the frame box does: 2N
+        lo, box = (0,) * len(n), n
+    hi = tuple(a + s for a, s in zip(lo, box))
+    padded = tuple(_order2_length(a, b, m) for a, b, m in zip(lo, hi, n))
+    gather = mirror = None
     if dual:
-        hi = tuple(a + s for a, s in zip(lo, box))
-        padded = tuple(_order2_length(a, b, m) for a, b, m in zip(lo, hi, n))
+        mirror = _mirror_plan(n, lo, box)
         if min(lo) >= 0:  # the box lies in [0, M): hi <= M by the padding
             gather = (slice(None),) + tuple(slice(a, b) for a, b in zip(lo, hi))
         else:
@@ -145,28 +157,10 @@ def _plan(n, lo, box, budget, r):
             )
             for index in gather[1:]:
                 index.flags.writeable = False
-    else:
-        padded = tuple(2 * m for m in n)
-    # a peel keeps m rows: the rows beta < top (rows [0, m)) times the rows
-    # beta|top shifted (windows [1, top] of the rows from the top row on);
-    # one row g stays one row, g times its own window
-    top, m = r // 2, max(r // 2, 1)
-    limit = budget // 64
-    base_rows = max(1, limit // (r * math.prod(padded)))
-    row_size = m * math.prod(n) + (math.prod(box) if dual else 0)
-    # a peel batch is tuples times a slab of the first shift axis; the slab
-    # is the whole axis unless the products of one tuple alone exceed the limit
-    h0, rest = 2 * n[0] - 1, row_size * math.prod(2 * a - 1 for a in n[1:])
-    slab = max(1, min(h0, limit // rest))
-    peel_rows = max(1, limit // (slab * rest))
     wgt = np.full(padded[-1] // 2 + 1, 2.0)
     wgt[0] = wgt[-1] = 1.0  # self-conjugate bins of the even last axis
     wgt.flags.writeable = False
-    # on the frame box the outer factor g_top(y + h) is the shift window itself
-    own = dual and box == n and not any(lo)
-    peel = (slice(0, m), top, slice(min(r - 1, 1), None))
-    mirror = _mirror_plan(n, lo, box) if dual and r == 1 else None
-    return padded, base_rows, h0, slab, peel_rows, wgt, gather, own, peel, mirror
+    return _Plan(padded, wgt, gather, dual and box == n and not any(lo), mirror)
 
 
 def _mirror_plan(n, lo, box):
@@ -229,7 +223,8 @@ def _shift_product_sum(rows, k, lo=None, box=None):
     about ``memory_budget() / 64`` padded f64 elements (the transform and
     its temporaries), and never less than one tuple in the base or, in a
     peel, the products of one tuple at one value of the first shift
-    coordinate.
+    coordinate: a peel batch is tuples times a slab of the first shift axis,
+    the whole axis unless one tuple's products exceed the limit.
     """
     n = rows.shape[1:]
     d = len(n)
@@ -237,22 +232,30 @@ def _shift_product_sum(rows, k, lo=None, box=None):
     expand = (slice(None),) + (None,) * d
     at = (slice(None),) * (d + 1)
     dual = box is not None
-    budget = memory_budget()
-    plan = _plan(n, lo, box, budget, len(rows))
-    padded, wgt, gather = plan[0], plan[5], plan[6]
+    plan = _plan(n, lo, box)
     shifts = tuple(2 * m - 1 for m in n)
-    centre = math.prod(shifts) // 2  # the flat index of h = 0
+    h0, centre = shifts[0], math.prod(shifts) // 2  # centre: the flat index of h = 0
     # children of one tuple per value of the first shift coordinate
     per = math.prod(shifts[1:])
+    limit = memory_budget() // 64  # padded f64 elements per batch
+    out = math.prod(box) if dual else 0
 
     def batches(g, w, hs, order):
         # g: (tuples, r, *n); w: (tuples, *box), or None: every tuple weighs
         # one (the top call); hs: each tuple's folded first-peel shift (flat
         # index), or None: not folded
         r = g.shape[1]
-        _, base_rows, h0, slab, peel_rows, _, _, own, peel, _ = _plan(n, lo, box, budget, r)
-        low, top, high = peel
-        step = base_rows if order == 2 else peel_rows
+        if order == 2:
+            step = max(1, limit // (r * math.prod(plan.padded)))
+        else:
+            # a peel keeps m rows: the rows beta < top (rows [0, m)) times the
+            # rows beta|top shifted (windows [1, top] of the rows from the top
+            # row on); one row g stays one row, g times its own window
+            top, m = r // 2, max(r // 2, 1)
+            low, high = slice(0, m), slice(min(r - 1, 1), None)
+            rest = (m * math.prod(n) + out) * per
+            slab = max(1, min(h0, limit // rest))
+            step = max(1, limit // (slab * rest))
         fold = hs is None and r == 1
         for s in range(0, len(g), step):
             gs = g[s : s + step]
@@ -265,7 +268,7 @@ def _shift_product_sum(rows, k, lo=None, box=None):
             windows = _shift_windows(gs[:, top:], (0,) * d, n)
             outer = None
             if dual and not fold:
-                outer = windows[at + (0,)] if own else _shift_windows(gs[:, top], lo, box)
+                outer = windows[at + (0,)] if plan.own else _shift_windows(gs[:, top], lo, box)
             shifted, lower = windows[at + (high,)], gs[expand + (low,)]
             first = h0 // 2 if fold else 0
             for t in range(first, h0, slab):
@@ -292,18 +295,18 @@ def _shift_product_sum(rows, k, lo=None, box=None):
 
     total = 0.0
     field = np.zeros(box) if dual else None
-    mirrors = plan[9] is not None and k >= 3
+    mirrors = dual and len(rows) == 1 and k >= 3
     if mirrors:
-        per_shift, per_cell, frame, span, place = plan[9]
+        per_shift, per_cell, frame, span, place = plan.mirror
         size = math.prod(span)
         mirrored = np.zeros(size)
         # the top factor f(y + h) on the box, per shift
         top_factor = _shift_windows(rows, lo, box)[0]
     for g, w, hs in batches(rows[None], None, None, k):
-        spec = np.fft.rfftn(g.reshape((-1,) + n), s=padded, axes=axes)
+        spec = np.fft.rfftn(g.reshape((-1,) + n), s=plan.padded, axes=axes)
         if g.shape[1] == 1:
             a = spec.real * spec.real + spec.imag * spec.imag
-            sums = (a * a) @ wgt
+            sums = (a * a) @ plan.wgt
             if hs is None:
                 total += float(np.sum(sums))
             else:  # h != 0 stands for -h too
@@ -314,7 +317,7 @@ def _shift_product_sum(rows, k, lo=None, box=None):
         else:
             spec = spec.reshape(g.shape[:2] + spec.shape[1:])
             cubic = spec[:, 0] * spec[:, 1] * spec[:, 2].conj()
-        z = np.fft.irfftn(cubic, s=padded, axes=axes)[gather]
+        z = np.fft.irfftn(cubic, s=plan.padded, axes=axes)[plan.gather]
         if hs is None:
             field += z[0] if w is None else np.einsum("i...,i...->...", w, z)
             continue
@@ -327,15 +330,8 @@ def _shift_product_sum(rows, k, lo=None, box=None):
         mirrored += np.bincount(where, back.reshape(-1), size)[:size]
     if mirrors:
         field += mirrored.reshape(span)[place]
-    power = total / math.prod(padded) if len(rows) == 1 else None
+    power = total / math.prod(plan.padded) if len(rows) == 1 else None
     return (field, power) if dual else power
-
-
-def _unit_rows(stack):
-    """Each row of ``stack`` by :func:`_unit_binade`, with the sum of the
-    exponents: the scale of a product that takes one factor per row."""
-    rows, exps = zip(*map(_unit_binade, stack))
-    return np.stack(rows), sum(exps)
 
 
 def _dual_unit(stack, k, lo, box, work_budget=None):
@@ -346,14 +342,11 @@ def _dual_unit(stack, k, lo, box, work_budget=None):
     An all-equal stack goes to the engine as one row. The engine's cost model
     is checked against ``work_budget`` before its first transform.
     """
-    if all(np.array_equal(stack[0], row) for row in stack[1:]):
-        row, e = _unit_binade(stack[0])
-        rows, e = row[None], e * len(stack)
-    else:
-        rows, e = _unit_rows(stack)
+    rows, e = _unit_rows(stack)
+    if (rows[1:] == rows[0]).all():
+        rows = rows[:1]
     check_work(rec_gowers_work(stack.shape[1:], k, min(len(rows), 3), box), work_budget)
-    field, _ = _shift_product_sum(rows, k, lo, box)
-    return field, e
+    return _shift_product_sum(rows, k, lo, box)[0], e
 
 
 def _norm_from_power(value_pow, k, e):
@@ -381,6 +374,18 @@ def gowers_norm_rec(f, k, work_budget=None):
     # construction and needs no clamp
     power = _shift_product_sum(values[None], k) * f.spacing ** ((k + 1) * f.dim)
     return _norm_from_power(power, k, e)
+
+
+def _norm_and_dual(values, spacing, k):
+    """``(||f||_U(k), D_k f on the frame)`` for frame values, from one pass:
+    the field equals ``dual.dual_rec(f, k).values`` bit for bit, and the norm
+    is the power sum the pass takes from its base spectra."""
+    scaled, e = _unit_binade(values)
+    raw, power = _shift_product_sum(scaled[None], k, (0,) * scaled.ndim, scaled.shape)
+    return (
+        _norm_from_power(power * spacing ** ((k + 1) * scaled.ndim), k, e),
+        _field_from(raw * spacing ** (k * scaled.ndim), k, e * ((1 << k) - 1)),
+    )
 
 
 def gowers_norm_spectral_u2(f, work_budget=None):
@@ -449,5 +454,5 @@ def csg_gap(fs, work_budget=None):
     params = instance_params(k, fs.dim, fs.extent, fs.spacing)
     return check_record(
         "eq1.5-csg", lhs, rhs, passed, params, signed=not fs.is_nonnegative(),
-        extra={"rhs_lp": rhs2}, extra_ratios={"ratio_norms_lp": (rhs, rhs2)},
+        extra={"rhs_lp": rhs2, "ratio_norms_lp": safe_ratio(rhs, rhs2)},
     )

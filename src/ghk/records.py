@@ -117,19 +117,14 @@ def instance_params(k, d, n, w, **more):
     return {"k": k, "d": d, "N": n, "w": w, **more}
 
 
-def check_record(name, lhs, rhs, passed, params, signed=False, extra=None,
-                 extra_ratios=None):
+def check_record(name, lhs, rhs, passed, params, signed=False, extra=None):
     """The record of one check instance, with ``ratio = safe_ratio(lhs, rhs)``.
 
     An inequality run on ``signed`` inputs is monitored (``passed=None``),
-    not gated. Each ``(lhs, rhs)`` pair in ``extra_ratios`` joins ``extra``
-    as its ratio.
+    not gated.
     """
-    extra = dict(extra or {})
-    for key, (a, b) in (extra_ratios or {}).items():
-        extra[key] = safe_ratio(a, b)
     passed = None if signed else passed
-    return CheckRecord(name, lhs, rhs, passed, params=params, extra=extra)
+    return CheckRecord(name, lhs, rhs, passed, params=params, extra=dict(extra or {}))
 
 
 def config_hash(config):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import os
 import time
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -353,12 +354,32 @@ CHECKS = {
 }
 
 
+#: How the sweeps read each configuration key.
+_CONFIG_READERS = {
+    **dict.fromkeys(("k", "d"), lambda v: [int(x) for x in v]),
+    **dict.fromkeys(("n", "base_seed", "reps"), int),
+    "spacing": float,
+    "reps_overrides": lambda v: [int(r) for r in v.values()],
+    "deltas": lambda v: [float(x) for x in v],
+    "ascent": lambda v: AscentOptions(**v),
+    "work_budget": lambda v: v is None or int(v),
+    "checks": list,
+}
+
+
 def resolved_config(config=None):
-    merged = dict(DEFAULT_CONFIG)
-    if config:
-        merged.update(config)
-    if merged.get("checks") is None:
+    """The default configuration updated by the mapping ``config``; a value
+    the sweeps cannot read raises ``ValueError`` naming its key."""
+    if not isinstance(config, Mapping | None):
+        raise ValueError(f"a suite config is a JSON object, not {type(config).__name__}")
+    merged = {**DEFAULT_CONFIG, **(config or {})}
+    if merged["checks"] is None:
         merged["checks"] = list(CHECKS)
+    for key, read in _CONFIG_READERS.items():
+        try:
+            read(merged[key])
+        except (TypeError, ValueError, AttributeError) as err:
+            raise ValueError(f"suite config key {key!r}: {err}") from None
     return merged
 
 
@@ -407,7 +428,6 @@ def run_suite(config=None, threads=None, artifacts_dir=None):
     as GHK1 grids plus a replay command when ``artifacts_dir`` is given.
     """
     config = resolved_config(config)
-    _Ctx(config)  # validate config eagerly
     base_seed = int(config.get("base_seed", 0))
     reps_default = int(config.get("reps", 100))
     overrides = config.get("reps_overrides", {})

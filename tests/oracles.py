@@ -88,21 +88,24 @@ def gowers_sum_oracle(rows, k):
 def dual_field_oracle(rows, k, out_lo, out_shape):
     """Raw cubic convolution product field over the requested box.
 
-    ``rows[alpha - 1]`` is the function at punctured vertex ``alpha``.
+    ``rows[alpha - 1]`` is the function at punctured vertex ``alpha``. Cell
+    ``x`` adds up ``prod_alpha f_alpha(x + alpha.h)`` over the shift vectors
+    whose single-vertex reads ``p_i = x + h_i`` lie in the frame: any other
+    vector reads a single-vertex row off the frame, a zero factor. So the
+    loops run over the points ``p_i`` of the frame.
     """
     shape = rows[0].shape
     d = len(shape)
-    out_hi = [l + n for l, n in zip(out_lo, out_shape)]
-    h_axes = [
-        range(-(out_hi[a] - 1), shape[a] - out_lo[a])
-        for _ in range(k)
-        for a in range(d)
-    ]
-    cells = {}
-    for x in itertools.product(*[range(lo, hi) for lo, hi in zip(out_lo, out_hi)]):
-        cells[x] = []
-    for hvec in itertools.product(*h_axes):
-        for x in cells:
+    frame = list(itertools.product(*[range(n) for n in shape]))
+    cells = {
+        x: []
+        for x in itertools.product(
+            *[range(lo, lo + n) for lo, n in zip(out_lo, out_shape)]
+        )
+    }
+    for x, terms in cells.items():
+        for ps in itertools.product(frame, repeat=k):
+            hvec = [p[a] - x[a] for p in ps for a in range(d)]
             p = 1.0
             for mask in range(1, 1 << k):
                 idx = list(x)
@@ -116,7 +119,7 @@ def dual_field_oracle(rows, k, out_lo, out_shape):
                     break
                 p *= v
             if p != 0.0:
-                cells[x].append(p)
+                terms.append(p)
     import numpy as np
 
     out = np.zeros(out_shape)

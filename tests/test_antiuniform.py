@@ -282,7 +282,7 @@ class TestEngineCalls:
 
     @staticmethod
     def count(monkeypatch):
-        from ghk import antiuniform, dual, norms
+        from ghk import antiuniform, norms
 
         calls = {"engine": 0, "objective": 0}
         engine = norms._shift_product_sum
@@ -292,7 +292,6 @@ class TestEngineCalls:
             return engine(*args, **kwargs)
 
         monkeypatch.setattr(norms, "_shift_product_sum", counting_engine)
-        monkeypatch.setattr(dual, "_shift_product_sum", counting_engine)
         # the ascent evaluates the ball norm once per seed and once per trial
         for ball in (antiuniform._UniformityBall, antiuniform._BlendBall):
             norm_from = ball.norm_from

@@ -34,6 +34,15 @@ def grids(tmp_path):
     return paths
 
 
+#: Suite configs that the sweeps cannot read, and what the diagnostic names.
+MALFORMED_CONFIGS = [
+    ({"ascent": {"step_init": 1}}, "'ascent'"),
+    ({"reps": None}, "'reps'"),
+    ([1, 2], "JSON object"),
+    ({"k": 2}, "'k'"),
+]
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -285,6 +294,16 @@ class TestVerifyCmd:
     def test_bad_replay_format(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--replay", "oracle-norm")
         assert code == 2
+
+    @pytest.mark.parametrize("replay", [(), ("--replay", "oracle-norm:2:1:3")])
+    @pytest.mark.parametrize("config, key", MALFORMED_CONFIGS)
+    def test_malformed_config_diagnostic(self, capsys, tmp_path, replay, config, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, "verify", "--config", str(cfg), *replay)
+        assert (code, out) == (2, "")
+        diag = json.loads(err)
+        assert diag["error"] == "ValueError" and key in diag["message"]
 
 
 class TestBenchCmd:

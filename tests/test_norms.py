@@ -1,8 +1,12 @@
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ghk
 from ghk import (
     BudgetExceededError,
     FunctionTuple,
@@ -26,11 +30,11 @@ from ghk.budget import (
     rec_gowers_work,
     set_memory_budget,
 )
-from ghk.dual import _norm_and_dual, dual_brute
+from ghk.dual import dual_brute
 from ghk.exponents import exponent_triple
 from ghk import kernels, norms
 from ghk.families import random_function, random_tuple
-from ghk.norms import _clamp_power
+from ghk.norms import _clamp_power, _norm_and_dual
 
 from oracles import gowers_sum_oracle
 
@@ -257,7 +261,7 @@ class TestFusedPowerSum:
 
 
 class TestEnginePlan:
-    """The engine's cached plan is keyed by the memory budget too."""
+    """The engine sizes its batches from the memory budget at every call."""
 
     @pytest.mark.parametrize("d, n", [(1, 8), (2, 3)])
     def test_budget_change_resizes_batches(self, small_batches, d, n):
@@ -276,6 +280,15 @@ class TestEnginePlan:
         assert u == pytest.approx(gowers_norm_brute(f, k), rel=1e-9)
         want = dual_brute(FunctionTuple.constant(f, k, punctured=True)).values
         np.testing.assert_allclose(field, want, rtol=0, atol=1e-9 * np.abs(want).max())
+
+    def test_only_norms_binds_the_engine(self):
+        # the other modules call the engine's passes, never the engine itself
+        # (ghk.__main__ runs the CLI on import)
+        names = ["ghk"] + [
+            m.name for m in pkgutil.iter_modules(ghk.__path__, "ghk.") if m.name != "ghk.__main__"
+        ]
+        binders = [n for n in names if hasattr(importlib.import_module(n), "_shift_product_sum")]
+        assert binders == ["ghk.norms"]
 
 
 def times_power(value, t, deg):

@@ -157,8 +157,8 @@ class TestCheckRecord:
             assert signed.passed is None
 
     def test_builder(self):
-        rec = check_record("x", 0.0, 0.0, False, {"k": 2}, extra_ratios={"r": (1.0, 0.0)})
-        assert (rec.ratio, rec.passed, rec.extra) == (0.0, False, {"r": float("inf")})
+        rec = check_record("x", 0.0, 0.0, False, {"k": 2})
+        assert (rec.ratio, rec.passed, rec.extra) == (0.0, False, {})
         assert check_record("x", 1.0, 2.0, False, {}, signed=True).passed is None
         assert instance_params(2, 1, 4, 0.5, family="f") == {
             "k": 2, "d": 1, "N": 4, "w": 0.5, "family": "f"
@@ -240,6 +240,19 @@ class TestRunSuite:
     def test_unknown_check_rejected(self):
         with pytest.raises(ValueError, match="unknown check"):
             run_suite({"checks": ["no-such-check"], "reps": 1})
+
+    @pytest.mark.parametrize(
+        "config, key",
+        [
+            ({"ascent": {"step_init": 1}}, "'ascent'"),
+            ({"reps": None}, "'reps'"),
+            ([1, 2], "JSON object"),
+            ({"k": 2}, "'k'"),
+        ],
+    )
+    def test_malformed_config_names_its_key(self, config, key):
+        with pytest.raises(ValueError, match=key):
+            run_suite(config)
 
     def test_deterministic_bytes(self):
         a = run_suite(SMALL_CONFIG, threads=2)
