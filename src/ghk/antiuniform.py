@@ -37,8 +37,15 @@ from the L^p-duality seed alone.
 identity exact regardless of optimizer quality; all approximation error lands
 in the norm bounds, never in the sum.
 
-Each seed and each trial step of an ascent costs one engine pass, which
-returns the iterate's U(k) norm and its dual field on the frame together.
+Each seed of an ascent costs one engine pass, which returns its U(k) norm
+and its dual field on the frame together; at k >= 3 so does each trial
+step. At k=2 the trials ``f + s d`` along a direction are read off the
+padded spectra of ``f`` and ``d`` (``norms._Order2Line``), since the
+spectrum is linear in the values: a rejected trial takes no transform, a
+trial that passes the value test one inverse transform for its field, and
+an accepted step one forward transform for its direction's spectrum. The
+iterate's spectrum is carried from step to step, so ``dual_norm_lower``
+scales its witness by one fresh engine pass on the final iterate.
 By homogeneity the ascent direction ``g - C grad(f*)`` is the stationarity
 defect, so the residual is the direction's L^s_k norm, and an accepted step
 carries its direction into the next iteration. The loop works on bare frame
@@ -63,7 +70,7 @@ import numpy as np
 from .budget import check_work, rec_gowers_work
 from .exponents import exponent_triple
 from .grid import GridFunction, _frozen, _lp_norm, common_frame, embed, inner, lp_norm, scale
-from .norms import _norm_and_dual, gowers_norm_rec
+from .norms import _norm_and_dual, _Order2Line, gowers_norm_rec
 
 #: First trial step of the ascent; every later first trial is a
 #: Barzilai-Borwein step.
@@ -103,8 +110,9 @@ class AscentOptions:
 class DualNormEstimate:
     """Certified lower bound: ``value = <g, witness>`` with unit-ball witness.
 
-    ``iterations`` counts accepted steps and ``passes`` the engine passes the
-    ascent took, seeds included.
+    ``iterations`` counts accepted steps and ``passes`` the seeds and trial
+    steps the ascent evaluated: its engine passes at k >= 3; at k=2 the
+    seeds' engine passes and the trials read off the iterate's spectrum.
     """
 
     value: float
@@ -121,8 +129,9 @@ class DecompositionResult:
     ``norms`` carries the recomputed ``F_p``, ``F_U`` and ``H_s``;
     ``residual_history`` the per-accepted-iterate stationarity defect
     (non-increasing by the acceptance rule); ``diagnostics`` the
-    normalization scale, bound targets and ``passes``, the engine passes of
-    the whole call (both ascents, seeds included, and the one for ``F``).
+    normalization scale, bound targets and ``passes``, the evaluations of
+    the whole call (both ascents' seeds and trials, counted as in
+    ``DualNormEstimate.passes``, and the engine pass for ``F``).
     """
 
     F: GridFunction
@@ -152,7 +161,9 @@ def _require_finite(values):
 
 
 class _UniformityBall:
-    """The U(k) norm; the gradient of ``norm^(2^k) / 2^k`` is the dual field."""
+    """The U(k) norm; the gradient of ``norm^(2^k) / 2^k`` is the dual field.
+    A ball's ``norm_from(values, u)`` takes the cell values as a callable,
+    which this ball never calls."""
 
     gated = False
 
@@ -160,7 +171,7 @@ class _UniformityBall:
         self.k = int(k)
         self.two_k = 1 << self.k
 
-    def norm_from(self, fv, u):
+    def norm_from(self, values, u):
         return u
 
     def grad_from(self, fv, dual_vals):
@@ -183,11 +194,12 @@ class _BlendBall:
         self.coef = self.delta ** (2 * self.two_k)
 
     def norm(self, f):
-        return self.norm_from(f.values, gowers_norm_rec(f, self.k))
+        return self.norm_from(lambda: f.values, gowers_norm_rec(f, self.k))
 
-    def norm_from(self, fv, u):
-        """The blend norm of cell values ``fv`` given their U(k) norm ``u``."""
-        pn = _lp_norm(fv, self.cell, self.p)
+    def norm_from(self, values, u):
+        """The blend norm of the cell values that ``values()`` returns, given
+        their U(k) norm ``u``."""
+        pn = _lp_norm(values(), self.cell, self.p)
         return (u ** self.two_k + self.coef * pn ** self.two_k) ** (1.0 / self.two_k)
 
     def _p_term(self, values, pn):
@@ -233,6 +245,90 @@ def _bb_step(df, dgrad, fallback):
     return step if 0.0 < step < math.inf else fallback
 
 
+class _EngineTrials:
+    """The trials ``f + s d`` along one ascent direction, each evaluated by
+    one engine pass: the U(k) norm and the dual field together."""
+
+    def __init__(self, gv, w, k, f, d):
+        self.gv, self.w, self.k = gv, w, k
+        self.f, self.d = f, d
+
+    def norm(self, s):
+        """The U(k) norm of the trial at step ``s``, which the other reads
+        then refer to."""
+        self.trial = _require_finite(self.f + s * self.d)
+        u, self.dual = _norm_and_dual(self.trial, self.w, self.k)
+        return u
+
+    def values(self):
+        return self.trial
+
+    def numerator(self):
+        """``<g, trial>`` over the cell measure."""
+        return float(np.sum(self.gv * self.trial))
+
+    def field(self):
+        return self.dual
+
+    def move(self, s, nrm, f, d):
+        """Carry the trials to the new iterate ``f``, the trial at ``s`` over
+        ``nrm``, and its direction ``d``."""
+        self.f, self.d = f, d
+
+
+class _SpectralTrials(_EngineTrials):
+    """At k=2, the trials read off the iterate's spectrum
+    (``norms._Order2Line``): a trial's norm and numerator take no transform,
+    its values and field are built only when asked for (the field by one
+    inverse transform), and a move takes one forward transform. A trial the
+    line cannot evaluate, one whose model norm or numerator is not a finite
+    normal float64, takes one engine pass instead."""
+
+    def __init__(self, gv, w, k, f, d):
+        super().__init__(gv, w, k, f, d)
+        self.line = _Order2Line(f, d, w)
+        self._pair()
+
+    def _pair(self):
+        # <g, f> and <g, d> over the cell measure: a trial's numerator is
+        # their combination
+        self.gf, self.gd = float((self.gv * self.f).sum()), float((self.gv * self.d).sum())
+
+    def norm(self, s):
+        self.s, self.trial, self.dual = s, None, None
+        self.num = self.gf + s * self.gd
+        try:
+            u = self.line.norm(s)
+        except OverflowError:
+            u = math.nan
+        self.engine = not (math.isfinite(u) and math.isfinite(self.num))
+        if self.engine:
+            u = super().norm(s)
+            self.num = super().numerator()
+        return u
+
+    def values(self):
+        if self.trial is None:
+            self.trial = _require_finite(self.f + self.s * self.d)
+        return self.trial
+
+    def numerator(self):
+        return self.num
+
+    def field(self):
+        if self.dual is None:
+            self.dual = self.line.field(self.s)
+        return self.dual
+
+    def move(self, s, nrm, f, d):
+        super().move(s, nrm, f, d)
+        if self.engine:  # the line does not hold this trial's spectrum
+            self.line = _Order2Line(f, d, self.w)
+        else:
+            self.line.move(s, nrm, f, d)
+        self._pair()
+
+
 def _ascend(g, k, ball, opts, candidates):
     """Backtracking ascent of ``<g, f>`` over the ball norm of ``f`` from the
     best seed.
@@ -242,13 +338,16 @@ def _ascend(g, k, ball, opts, candidates):
     increase, so the recorded residual trail is non-increasing. Each
     iteration's first trial step is the Barzilai-Borwein step of the last
     accepted pair, and the ascent stops after two consecutive accepted steps
-    that each gain at most ``rel_tol * |value|``. Every seed and every trial
-    step costs one engine pass, which gives its U(k) norm and its dual field
-    together; the loop works on frame arrays. The engine's cost model for one
-    pass on the frame is checked against the default work budget first.
-    Returns ``(f, val, iterations, converged, history, passes)`` with ``f``
-    of unit ball norm, history entries ``(value, residual-or-None, U(k)
-    norm)``, one per iterate, and ``passes`` the engine passes taken.
+    that each gain at most ``rel_tol * |value|``. Every seed costs one
+    engine pass, which gives its U(k) norm and its dual field together; the
+    trials along a direction come from its evaluator (``_EngineTrials``,
+    ``_SpectralTrials`` at k=2), which gives a trial's norm first and its
+    values and field only when the ball or the value test asks for them.
+    The loop works on frame arrays. The engine's cost model for one pass on
+    the frame is checked against the default work budget first. Returns
+    ``(f, val, iterations, converged, history, passes)`` with ``f`` of unit
+    ball norm, history entries ``(value, residual-or-None, U(k) norm)``, one
+    per iterate, and ``passes`` the seeds and trials evaluated.
     """
     if not np.any(g.values):
         raise ValueError("the dual-norm objective needs a nonzero g")
@@ -260,7 +359,7 @@ def _ascend(g, k, ball, opts, candidates):
     best = None
     for fv in stack[1:]:
         u, dual = _norm_and_dual(fv, w, ball.k)
-        nrm = ball.norm_from(fv, u)
+        nrm = ball.norm_from(lambda: fv, u)
         if nrm <= 0.0:
             continue
         val = cell * float(np.sum(gv * fv)) / nrm
@@ -277,6 +376,7 @@ def _ascend(g, k, ball, opts, candidates):
     resid = _lp_norm(grad, cell, ball.s) if ball.gated else None
     history = [(val, resid, u_f)]
     passes = len(stack) - 1
+    trials = (_SpectralTrials if ball.k == 2 else _EngineTrials)(gv, w, ball.k, f, grad)
     step = STEP_INIT
     iterations = 0
     small_gains = 0
@@ -284,22 +384,22 @@ def _ascend(g, k, ball, opts, candidates):
     for _ in range(opts.max_iters):
         s = step
         while s > STEP_MIN:
-            trial = _require_finite(f + s * grad)
-            u, dual = _norm_and_dual(trial, w, ball.k)
+            u = trials.norm(s)
             passes += 1
-            nrm = ball.norm_from(trial, u)
+            nrm = ball.norm_from(trials.values, u)
             if nrm > 0.0:
-                val_try = cell * float(np.sum(gv * trial)) / nrm
+                val_try = cell * trials.numerator() / nrm
                 if val_try > val * (1.0 + ACCEPT_SLACK):
-                    dual_try = dual / nrm ** (two_k - 1)
-                    f_try = _require_finite(trial * (1.0 / nrm))
+                    dual_try = trials.field() / nrm ** (two_k - 1)
+                    f_try = _require_finite(trials.values() * (1.0 / nrm))
                     grad_try = _direction(gv, f_try, val_try, dual_try, ball)
                     # the gated residual is the direction's L^s norm
                     resid_try = _lp_norm(grad_try, cell, ball.s) if ball.gated else None
                     if not ball.gated or not resid_try > resid * (1.0 + RESIDUAL_SLACK):
                         step = _bb_step(f_try - f, grad_try - grad, s / BACKTRACK)
+                        trials.move(s, nrm, f_try, grad_try)
                         prev, f, val, u_f = val, f_try, val_try, u / nrm
-                        dual_f, grad, resid = dual_try, grad_try, resid_try
+                        grad, resid = grad_try, resid_try
                         break
             s *= BACKTRACK
         else:
@@ -323,7 +423,9 @@ def dual_norm_lower(g, k, opts=None, candidates=()):
     """
     ball, opts = _UniformityBall(k), opts or AscentOptions()
     f, _, iterations, converged, history, passes = _ascend(g, k, ball, opts, candidates)
-    witness = scale(f, 1.0 / history[-1][2])
+    # at k=2 the iterate's norm was read off its carried spectrum: the
+    # certificate takes a fresh pass instead
+    witness = scale(f, 1.0 / (gowers_norm_rec(f, k) if ball.k == 2 else history[-1][2]))
     return DualNormEstimate(inner(g, witness), witness, iterations, converged, passes)
 
 

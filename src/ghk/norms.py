@@ -33,7 +33,10 @@ the input shape and the output box is planned once per pair (``_plan``).
 Only this module calls the engine; the others call its passes:
 ``_dual_unit`` for a dual field and ``_norm_and_dual``, which pads each axis
 to 2N and returns the norm with the field on the frame, so the ascent in
-``antiuniform`` gets both from one pass.
+``antiuniform`` gets both from one pass. At k=2 the ascent's trials along a
+line come from ``_Order2Line``, which keeps the base spectra of the line's
+point and direction and shares the engine's one-row base arithmetic
+(``_base_power``, ``_base_field``).
 """
 
 from __future__ import annotations
@@ -179,6 +182,20 @@ def _mirror_plan(n, lo, box):
     return per_shift, per_cell, frame, span, place
 
 
+def _base_power(spec, wgt):
+    """``(|T|^2, sum |T|^4)`` of one-row order-2 base spectra ``T`` (tuples on
+    the first axis), the sum over each tuple's spectrum with the last axis's
+    bins weighted by ``wgt``: Parseval's ``||f||_U(2)^4`` times the padded
+    size."""
+    a = spec.real * spec.real + spec.imag * spec.imag
+    return a, (a * a) @ wgt
+
+
+def _base_field(cubic, plan):
+    """The order-2 base field ``irfftn(cubic)`` of each tuple on the plan's box."""
+    return np.fft.irfftn(cubic, s=plan.padded, axes=tuple(range(1, cubic.ndim)))[plan.gather]
+
+
 def _shift_product_sum(rows, k, lo=None, box=None):
     """Unweighted order-k shift recursion on the frame of ``rows``.
 
@@ -305,8 +322,7 @@ def _shift_product_sum(rows, k, lo=None, box=None):
     for g, w, hs in batches(rows[None], None, None, k):
         spec = np.fft.rfftn(g.reshape((-1,) + n), s=plan.padded, axes=axes)
         if g.shape[1] == 1:
-            a = spec.real * spec.real + spec.imag * spec.imag
-            sums = (a * a) @ plan.wgt
+            a, sums = _base_power(spec, plan.wgt)
             if hs is None:
                 total += float(np.sum(sums))
             else:  # h != 0 stands for -h too
@@ -317,7 +333,7 @@ def _shift_product_sum(rows, k, lo=None, box=None):
         else:
             spec = spec.reshape(g.shape[:2] + spec.shape[1:])
             cubic = spec[:, 0] * spec[:, 1] * spec[:, 2].conj()
-        z = np.fft.irfftn(cubic, s=plan.padded, axes=axes)[plan.gather]
+        z = _base_field(cubic, plan)
         if hs is None:
             field += z[0] if w is None else np.einsum("i...,i...->...", w, z)
             continue
@@ -386,6 +402,66 @@ def _norm_and_dual(values, spacing, k):
         _norm_from_power(power * spacing ** ((k + 1) * scaled.ndim), k, e),
         _field_from(raw * spacing ** (k * scaled.ndim), k, e * ((1 << k) - 1)),
     )
+
+
+class _Order2Line:
+    """The points ``f + s d`` of a line through frame values at k=2, read off
+    the spectra that a pass of :func:`_norm_and_dual` transforms: padded to
+    2N per axis, ``F`` of ``f * 2**-ef`` and ``D`` of ``d * 2**-ed``, the
+    exponents those of :func:`_unit_binade`. The spectrum is linear in the
+    values, so a point's U(2) norm takes no transform, and its dual field
+    on the frame one inverse transform; :meth:`move` takes one forward
+    transform. Norms and fields agree with the engine's to roundoff and
+    raise its ``OverflowError`` where they are not normal float64s.
+    """
+
+    def __init__(self, f, d, spacing):
+        n = f.shape
+        self.plan = _plan(n, (0,) * len(n), n)
+        self.size = math.prod(self.plan.padded)
+        # the lattice weights of the power sum and of the field, as the engine's
+        self.w_norm, self.w_field = spacing ** (3 * len(n)), spacing ** (2 * len(n))
+        (uf, self.ef), (ud, self.ed) = _unit_binade(f), _unit_binade(d)
+        spec = self._spectra(np.stack([uf, ud]))
+        self.F, self.D = spec[:1], spec[1:]
+        self._at = None
+
+    def _spectra(self, rows):
+        return np.fft.rfftn(rows, s=self.plan.padded, axes=tuple(range(1, rows.ndim)))
+
+    def _point(self, s):
+        # (s, T, e, |T|^2, sum |T|^4): T the spectrum of (f + s d) * 2**-e,
+        # with |f + s d| < 2**(e + 1), so |T|^4 stays finite
+        if self._at is None or self._at[0] != s:
+            e = max(self.ef, self.ed + math.frexp(s)[1])
+            spec = self.D * math.ldexp(s, self.ed - e)
+            spec += self.F if e == self.ef else self.F * math.ldexp(1.0, self.ef - e)
+            a, sums = _base_power(spec, self.plan.wgt)
+            self._at = (s, spec, e, a, float(sums.sum()))
+        return self._at
+
+    def norm(self, s):
+        """``||f + s d||_U(2)``, without a transform."""
+        _, _, e, _, total = self._point(s)
+        return _norm_from_power(total / self.size * self.w_norm, 2, e)
+
+    def field(self, s):
+        """``D_2(f + s d)`` on the frame, from one inverse transform."""
+        _, spec, e, a, _ = self._point(s)
+        raw = _base_field(spec * a, self.plan)[0]
+        return _field_from(raw * self.w_field, 2, 3 * e)
+
+    def move(self, s, nrm, f, d):
+        """Carry the line to the point ``f = (f + s d) / nrm`` (its values,
+        which set ``ef``) along the new direction ``d``: one forward
+        transform, for ``D``."""
+        _, spec, e, _, _ = self._point(s)
+        m, en = math.frexp(nrm)
+        self.ef = math.frexp(float(np.abs(f).max()))[1]
+        self.F = spec * math.ldexp(1.0 / m, e - en - self.ef)
+        ud, self.ed = _unit_binade(d)
+        self.D = self._spectra(ud[None])
+        self._at = None
 
 
 def gowers_norm_spectral_u2(f, work_budget=None):

@@ -368,10 +368,14 @@ _CONFIG_READERS = {
 
 
 def resolved_config(config=None):
-    """The default configuration updated by the mapping ``config``; a value
-    the sweeps cannot read raises ``ValueError`` naming its key."""
+    """The default configuration updated by the mapping ``config``; a key
+    that is not a default one, or a value the sweeps cannot read, raises
+    ``ValueError`` naming its key."""
     if not isinstance(config, Mapping | None):
         raise ValueError(f"a suite config is a JSON object, not {type(config).__name__}")
+    for key in config or {}:
+        if key not in DEFAULT_CONFIG:
+            raise ValueError(f"suite config key {key!r}: unknown, not one of {list(DEFAULT_CONFIG)}")
     merged = {**DEFAULT_CONFIG, **(config or {})}
     if merged["checks"] is None:
         merged["checks"] = list(CHECKS)

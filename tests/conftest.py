@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -5,18 +7,25 @@ from ghk.budget import memory_budget, set_memory_budget
 
 
 @pytest.fixture
-def small_batches(monkeypatch):
+def fft_calls(monkeypatch):
+    """Count the calls of ``np.fft.rfftn`` and ``np.fft.irfftn``, by name, in
+    a ``Counter``."""
+    calls = Counter()
+    for name in ("rfftn", "irfftn"):
+
+        def counting(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counting)
+    return calls
+
+
+@pytest.fixture
+def small_batches(fft_calls):
     """Shrink the memory budget to 64 padded elements per recursion batch
-    (restored afterwards) and count the forward transforms it takes."""
-    calls = []
-    rfftn = np.fft.rfftn
-
-    def counting_rfftn(*args, **kwargs):
-        calls.append(1)
-        return rfftn(*args, **kwargs)
-
-    monkeypatch.setattr(np.fft, "rfftn", counting_rfftn)
+    (restored afterwards) and count the transforms it takes."""
     saved = memory_budget()
     set_memory_budget(64 * 64)
-    yield calls
+    yield fft_calls
     set_memory_budget(saved)

@@ -278,61 +278,160 @@ class TestPairingBound:
 
 
 class TestEngineCalls:
-    """Each seed and each trial step of the ascent costs one engine pass."""
+    """At k >= 3 each seed and each trial step of the ascent costs one engine
+    pass. At k=2 only the seeds take engine passes (and ``dual_norm_lower``'s
+    witness, and ``decompose``'s ``F``): a trial is read off the iterate's
+    spectrum, so a rejected trial takes no transform, a trial that passes the
+    value test one inverse transform (its field), and an accepted step one
+    forward transform (the new direction's spectrum), besides one forward
+    transform per ascent for the first iterate and direction."""
 
     @staticmethod
-    def count(monkeypatch):
+    def count(monkeypatch, fft_calls):
         from ghk import antiuniform, norms
 
-        calls = {"engine": 0, "objective": 0}
+        calls = {key: 0 for key in ("engine", "objective", "seeds", "values", "accepted")}
+        outside = fft_calls.copy()  # transforms outside the engine
+
+        def wrap(module, name, key, size=lambda out: 1):
+            fn = getattr(module, name)
+
+            def counting(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                calls[key] += size(out)
+                return out
+
+            monkeypatch.setattr(module, name, counting)
+
         engine = norms._shift_product_sum
 
         def counting_engine(*args, **kwargs):
+            before = fft_calls.copy()
             calls["engine"] += 1
-            return engine(*args, **kwargs)
+            out = engine(*args, **kwargs)
+            outside.subtract(fft_calls - before)
+            return out
 
         monkeypatch.setattr(norms, "_shift_product_sum", counting_engine)
+        calls["outside"] = lambda: {name: fft_calls[name] + outside[name] for name in fft_calls}
+        wrap(antiuniform, "_seeds", "seeds", len)
+        # one direction per start and per trial that passes the value test
+        wrap(antiuniform, "_direction", "values")
+        wrap(antiuniform, "_bb_step", "accepted")
         # the ascent evaluates the ball norm once per seed and once per trial
         for ball in (antiuniform._UniformityBall, antiuniform._BlendBall):
-            norm_from = ball.norm_from
-
-            def counting_norm(self, fv, u, norm_from=norm_from):
-                calls["objective"] += 1
-                return norm_from(self, fv, u)
-
-            monkeypatch.setattr(ball, "norm_from", counting_norm)
+            wrap(ball, "norm_from", "objective")
         return calls
 
     @pytest.mark.parametrize("family", ["random-nonneg", "tent", "indicator-box"])
-    def test_dual_norm_lower(self, monkeypatch, family):
-        calls = self.count(monkeypatch)
+    def test_dual_norm_lower(self, monkeypatch, fft_calls, family):
+        calls = self.count(monkeypatch, fft_calls)
         g = random_function(family, 2, 6, 0.125, 3)
         est = dual_norm_lower(g, 2)
-        assert est.iterations > 0
+        assert est.iterations == calls["accepted"] > 0
+        assert calls["objective"] - calls["seeds"] > est.iterations  # some trials rejected
+        # plus one pass for the witness
+        assert calls["engine"] == calls["seeds"] + 1
+        # every trial that passes the value test is accepted on this ball
+        assert calls["outside"]() == {"rfftn": 1 + est.iterations, "irfftn": est.iterations}
+
+    @pytest.mark.parametrize("family", ["random-nonneg", "tent", "indicator-box"])
+    def test_dual_norm_lower_k3(self, monkeypatch, fft_calls, family):
+        calls = self.count(monkeypatch, fft_calls)
+        dual_norm_lower(random_function(family, 1, 12, 0.125, 4), 3)
         assert calls["engine"] == calls["objective"]
 
     @pytest.mark.parametrize("family", ["random-nonneg", "tent", "indicator-box"])
-    def test_decompose(self, monkeypatch, family):
-        calls = self.count(monkeypatch)
+    def test_decompose(self, monkeypatch, fft_calls, family):
+        calls = self.count(monkeypatch, fft_calls)
         g = random_function(family, 1, 12, 0.125, 4)
         res = decompose(g, 3, 0.25)
         assert res.iterations > 0
         # plus one pass for the norm and the dual field of F
         assert calls["engine"] == calls["objective"] + 1
 
+    @pytest.mark.parametrize("family", ["random-nonneg", "tent", "indicator-box"])
+    def test_decompose_k2(self, monkeypatch, fft_calls, family):
+        calls = self.count(monkeypatch, fft_calls)
+        res = decompose(random_function(family, 2, 6, 0.125, 4), 2, 0.25)
+        assert res.iterations > 0
+        assert calls["objective"] - calls["seeds"] > calls["accepted"]
+        # plus one pass for the first stage's witness and one for F
+        assert calls["engine"] == calls["seeds"] + 2
+        # two ascents, each with one start
+        trials_past_value_test = calls["values"] - 2
+        assert trials_past_value_test >= calls["accepted"]
+        assert calls["outside"]() == {
+            "rfftn": 2 + calls["accepted"],
+            "irfftn": trials_past_value_test,
+        }
+
 
 class TestPasses:
-    """``passes`` reports the engine passes a call took, seeds included."""
+    """``passes`` reports the seeds and the trial evaluations a call took:
+    at k >= 3 its engine passes, at k=2 more than its engine passes."""
 
-    def test_dual_norm_lower(self, monkeypatch):
-        calls = TestEngineCalls.count(monkeypatch)
+    def test_dual_norm_lower(self, monkeypatch, fft_calls):
+        calls = TestEngineCalls.count(monkeypatch, fft_calls)
         est = dual_norm_lower(random_function("tent", 2, 6, 0.125, 3), 2)
-        assert est.passes == calls["engine"] > est.iterations
+        assert est.passes == calls["objective"] > calls["engine"]
+        assert est.passes > est.iterations
 
-    def test_decompose(self, monkeypatch):
-        calls = TestEngineCalls.count(monkeypatch)
+    def test_decompose(self, monkeypatch, fft_calls):
+        calls = TestEngineCalls.count(monkeypatch, fft_calls)
         res = decompose(random_function("tent", 1, 12, 0.125, 4), 3, 0.25)
         assert res.diagnostics["passes"] == calls["engine"] > res.iterations
+
+    def test_decompose_k2(self, monkeypatch, fft_calls):
+        calls = TestEngineCalls.count(monkeypatch, fft_calls)
+        res = decompose(random_function("tent", 2, 6, 0.125, 3), 2, 0.5)
+        # plus the pass for F
+        assert res.diagnostics["passes"] == calls["objective"] + 1 > calls["engine"]
+
+
+class TestSpectralTrials:
+    """The k=2 ascent's carried spectrum stays on its iterate, and a trial
+    the line cannot evaluate takes an engine pass instead."""
+
+    @pytest.mark.parametrize("d, n, blend", [(2, 8, False), (3, 4, False), (2, 8, True)])
+    def test_no_drift_over_a_long_run(self, monkeypatch, d, n, blend):
+        from ghk import antiuniform
+
+        lines = []
+
+        class RecordedLine(antiuniform._Order2Line):
+            def __init__(self, *args):
+                super().__init__(*args)
+                lines.append(self)
+
+        monkeypatch.setattr(antiuniform, "_Order2Line", RecordedLine)
+        g = random_function("tent", d, n, 0.125, 3)
+        ball = antiuniform._UniformityBall(2)
+        if blend:
+            ball = antiuniform._BlendBall(2, 0.5, g.cell_measure)
+        long_run = AscentOptions(max_iters=20000, rel_tol=1e-15)
+        f, _, iterations, _, _, _ = antiuniform._ascend(g, 2, ball, long_run, ())
+        assert iterations > 50
+        assert lines[-1].norm(0.0) == pytest.approx(gowers_norm_rec(f, 2), rel=1e-12)
+
+    @pytest.mark.parametrize("family", ["random-nonneg", "tent", "indicator-box"])
+    def test_fallback_is_the_engine_ascent(self, monkeypatch, family):
+        from ghk import antiuniform
+
+        g = random_function(family, 2, 6, 0.125, 3)
+        with monkeypatch.context() as m:
+            m.setattr(antiuniform, "_SpectralTrials", antiuniform._EngineTrials)
+            engine = dual_norm_lower(g, 2), decompose(g, 2, 0.5)
+
+        def overflow(self, s):
+            raise OverflowError("model norm out of range")
+
+        monkeypatch.setattr(antiuniform._Order2Line, "norm", overflow)
+        fallback = dual_norm_lower(g, 2), decompose(g, 2, 0.5)
+        assert fallback[0].value == engine[0].value
+        assert fallback[0].passes == engine[0].passes
+        assert np.array_equal(fallback[1].F.values, engine[1].F.values)
+        assert fallback[1].diagnostics == engine[1].diagnostics
 
 
 class TestBudgetGuards:
@@ -349,14 +448,14 @@ class TestBudgetGuards:
         ],
         ids=["gowers_norm_rec", "dual_norm_lower", "triple_dual_lower", "decompose"],
     )
-    def test_tiny_budget_raises_before_any_pass(self, monkeypatch, entry):
+    def test_tiny_budget_raises_before_any_pass(self, monkeypatch, fft_calls, entry):
         from ghk import budget
 
-        calls = TestEngineCalls.count(monkeypatch)
+        calls = TestEngineCalls.count(monkeypatch, fft_calls)
         monkeypatch.setattr(budget, "DEFAULT_WORK_BUDGET", 10)
         with pytest.raises(BudgetExceededError):
             entry(random_function("tent", 2, 6, 0.125, 3))
-        assert calls["engine"] == 0
+        assert calls["engine"] == 0 and not fft_calls
 
 
 ASCENT_SHAPES = ((2, 8, 2), (1, 16, 3), (3, 4, 2))  # (d, N, k)

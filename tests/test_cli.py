@@ -40,6 +40,8 @@ MALFORMED_CONFIGS = [
     ({"reps": None}, "'reps'"),
     ([1, 2], "JSON object"),
     ({"k": 2}, "'k'"),
+    ({"rep": 1}, "'rep'"),
+    ({"check": ["oracle-norm"]}, "'check'"),
 ]
 
 

@@ -34,7 +34,8 @@ from ghk.dual import dual_brute
 from ghk.exponents import exponent_triple
 from ghk import kernels, norms
 from ghk.families import random_function, random_tuple
-from ghk.norms import _clamp_power, _norm_and_dual
+from ghk.norms import _clamp_power, _norm_and_dual, _Order2Line
+from ghk.records import ORACLE_TOL
 
 from oracles import gowers_sum_oracle
 
@@ -151,7 +152,7 @@ class TestRecursive:
     def test_split_batches_match_brute(self, small_batches, k, d, n):
         f = rand_grid(12, n=n, d=d, signed=True)
         r = gowers_norm_rec(f, k)
-        assert len(small_batches) > 1
+        assert small_batches["rfftn"] > 1
         assert r == pytest.approx(gowers_norm_brute(f, k), rel=1e-9)
 
     def test_k1_base(self):
@@ -256,8 +257,73 @@ class TestFusedPowerSum:
     def test_split_batches(self, small_batches):
         f = rand_grid(22, n=4, d=2, signed=True)
         u, _ = _norm_and_dual(f.values, f.spacing, 3)
-        assert len(small_batches) > 1
+        assert small_batches["rfftn"] > 1
         assert u == pytest.approx(gowers_norm_brute(f, 3), rel=1e-12)
+
+
+#: Steps along a line, from far below to far above the iterate's scale.
+LINE_STEPS = (1e-9, 1e-3, 1.0, 1e3)
+
+
+class TestOrder2Line:
+    """At k=2 the points ``f + s d`` of a line are read off the spectra of
+    ``f`` and ``d``: the norm agrees with the recursion's, the field with
+    ``dual_rec``'s, and both scale as the engine's do."""
+
+    @staticmethod
+    def line(d, n, family, seed, t=1.0):
+        f = scale(random_function(family, d, n, 0.25, seed), t)
+        v = scale(random_function("random-signed", d, n, 0.25, seed + 1), t)
+        return f, v, _Order2Line(f.values, v.values, f.spacing)
+
+    @staticmethod
+    def point(f, v, s):
+        return from_values(f.values + s * v.values, f.spacing)
+
+    @pytest.mark.parametrize("d, n", [(1, 8), (2, 5), (3, 3)])
+    @pytest.mark.parametrize("family", ["random-signed", "random-nonneg", "indicator-box"])
+    def test_matches_the_recursion(self, fft_calls, d, n, family):
+        f, v, line = self.line(d, n, family, 31)
+        assert fft_calls == {"rfftn": 1}  # f and d in one transform
+        for s in LINE_STEPS:
+            p = self.point(f, v, s)
+            u, want = gowers_norm_rec(p, 2), dual_rec(p, 2).values
+            fft_calls.clear()
+            assert line.norm(s) == pytest.approx(u, rel=1e-12)
+            assert not fft_calls
+            field = line.field(s)
+            assert fft_calls == {"irfftn": 1}
+            tol = ORACLE_TOL * max(1.0, np.abs(want).max())
+            np.testing.assert_allclose(field, want, rtol=0, atol=tol)
+
+    @pytest.mark.parametrize("d, n", [(1, 8), (2, 5), (3, 3)])
+    def test_move(self, fft_calls, d, n):
+        f, v, line = self.line(d, n, "random-nonneg", 37)
+        p = self.point(f, v, 1e-3)
+        nrm = gowers_norm_rec(p, 2)
+        f2 = p.values * (1.0 / nrm)
+        v2 = random_function("random-signed", d, n, 0.25, 39).values
+        fft_calls.clear()
+        line.move(1e-3, nrm, f2, v2)
+        assert fft_calls == {"rfftn": 1}  # the new direction's
+        for s in LINE_STEPS:
+            q = from_values(f2 + s * v2, f.spacing)
+            assert line.norm(s) == pytest.approx(gowers_norm_rec(q, 2), rel=1e-12)
+
+    @pytest.mark.parametrize("j", [600, -600])
+    @pytest.mark.parametrize("d, n", [(1, 8), (2, 5)])
+    def test_scaled_inputs(self, d, n, j):
+        f, v, line = self.line(d, n, "random-nonneg", 41, 2.0**j)
+        for s in LINE_STEPS:
+            p = self.point(f, v, s)
+            assert line.norm(s) == pytest.approx(gowers_norm_rec(p, 2), rel=1e-12)
+            try:
+                want = dual_rec(p, 2).values
+            except OverflowError:
+                with pytest.raises(OverflowError):
+                    line.field(s)
+                continue
+            np.testing.assert_allclose(line.field(s), want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
 class TestEnginePlan:
@@ -273,10 +339,10 @@ class TestEnginePlan:
         set_memory_budget(small)
         small_batches.clear()
         u = gowers_norm_rec(f, k)
-        assert len(small_batches) > 1
+        assert small_batches["rfftn"] > 1
         small_batches.clear()
         field = dual_rec(f, k).values
-        assert len(small_batches) > 1
+        assert small_batches["rfftn"] > 1
         assert u == pytest.approx(gowers_norm_brute(f, k), rel=1e-9)
         want = dual_brute(FunctionTuple.constant(f, k, punctured=True)).values
         np.testing.assert_allclose(field, want, rtol=0, atol=1e-9 * np.abs(want).max())
@@ -429,7 +495,7 @@ class TestInnerPairing:
             gowers_inner(fs, work_budget=1000)
         with pytest.raises(BudgetExceededError):
             csg_gap(fs, work_budget=1000)
-        assert small_batches == []
+        assert not small_batches
 
 
 class TestCsgGap:
@@ -527,7 +593,7 @@ class TestFoldedPowerSum:
     def test_split_batches(self, small_batches, d, k, n):
         f = rand_grid(53, n=n, d=d, signed=True)
         got = norms._shift_product_sum(f.values[None], k)
-        assert len(small_batches) > 1
+        assert small_batches["rfftn"] > 1
         scale_ref = norms._shift_product_sum(np.abs(f.values)[None], k)
         assert abs(got - general_power(f.values, k)) <= 1e-13 * scale_ref
         assert gowers_norm_rec(f, k) == pytest.approx(gowers_norm_brute(f, k), rel=1e-12)

@@ -348,4 +348,13 @@ class TestConfig:
 
     def test_resolved_merge(self):
         cfg = resolved_config({"n": 4})
-        assert cfg["n"] == 4 and cfg["reps"] == 100
+        assert cfg == {**suite.DEFAULT_CONFIG, "n": 4, "checks": list(CHECKS)}
+
+    @pytest.mark.parametrize(
+        "config, key", [({"rep": 1}, "rep"), ({"check": ["oracle-norm"]}, "check")]
+    )
+    def test_unknown_key_refused(self, config, key):
+        with pytest.raises(ValueError, match=f"suite config key '{key}': unknown"):
+            resolved_config(config)
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            run_check(config, "oracle-norm", 2, 1, 3)
