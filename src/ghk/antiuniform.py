@@ -38,14 +38,14 @@ identity exact regardless of optimizer quality; all approximation error lands
 in the norm bounds, never in the sum.
 
 Each seed of an ascent costs one engine pass, which returns its U(k) norm
-and its dual field on the frame together; at k >= 3 so does each trial
-step. At k=2 the trials ``f + s d`` along a direction are read off the
-padded spectra of ``f`` and ``d`` (``norms._Order2Line``), since the
-spectrum is linear in the values: a rejected trial takes no transform, a
-trial that passes the value test one inverse transform for its field, and
-an accepted step one forward transform for its direction's spectrum. The
-iterate's spectrum is carried from step to step, so ``dual_norm_lower``
-scales its witness by one fresh engine pass on the final iterate.
+and its dual field on the frame together. The trials ``f + s d`` along a
+direction are the points of a line in ``norms`` (``_ascent_line``): at
+k >= 3 one engine pass each; at k=2 read off the padded spectra of ``f``
+and ``d``, which are linear in the values: a rejected trial takes no
+transform, a trial that passes the value test one inverse transform for
+its field, and an accepted step one forward transform for its direction's
+spectrum. The iterate's spectrum is carried from step to step, so
+``dual_norm_lower`` scales its witness by one fresh engine pass.
 By homogeneity the ascent direction ``g - C grad(f*)`` is the stationarity
 defect, so the residual is the direction's L^s_k norm, and an accepted step
 carries its direction into the next iteration. The loop works on bare frame
@@ -69,8 +69,10 @@ import numpy as np
 
 from .budget import check_work, rec_gowers_work
 from .exponents import exponent_triple
-from .grid import GridFunction, _frozen, _lp_norm, common_frame, embed, inner, lp_norm, scale
-from .norms import _norm_and_dual, _Order2Line, gowers_norm_rec
+from .grid import (
+    GridFunction, _frozen, _lp_norm, _require_finite, common_frame, embed, inner, lp_norm, scale,
+)
+from .norms import _ascent_line, _norm_and_dual, gowers_norm_rec
 
 #: First trial step of the ascent; every later first trial is a
 #: Barzilai-Borwein step.
@@ -93,17 +95,20 @@ class AscentOptions:
 
     ``max_iters`` caps the accepted steps. The ascent stops as converged after
     two consecutive accepted steps that each gain at most ``rel_tol`` times
-    the objective, or when a trial step shrinks to ``STEP_MIN``.
+    the objective, or when a trial step shrinks to ``STEP_MIN``. An accepted
+    step gains more than ``ACCEPT_SLACK`` times the objective, so a
+    ``rel_tol`` at or below ``ACCEPT_SLACK`` turns the small-gain stop off:
+    such a run, a long reference run, ends at ``STEP_MIN`` or ``max_iters``.
     """
 
     max_iters: int = 500
     rel_tol: float = 1e-8
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be positive")
-        if self.rel_tol <= 0:
-            raise ValueError("rel_tol must be positive")
+        if not isinstance(self.max_iters, int) or self.max_iters < 1:
+            raise ValueError(f"max_iters must be a positive integer, got {self.max_iters!r}")
+        if not self.rel_tol > 0:
+            raise ValueError(f"rel_tol must be positive, got {self.rel_tol!r}")
 
 
 @dataclass(slots=True)
@@ -151,13 +156,6 @@ def _signed_power(values, expo):
     av = np.abs(values)
     out = np.where(av > 0.0, np.maximum(av, 1e-300) ** expo, 0.0)
     return out * np.sign(values)
-
-
-def _require_finite(values):
-    # the check a GridFunction makes on construction, for the ascent's arrays
-    if not np.isfinite(values).all():
-        raise ValueError("grid values must be finite (no NaN/inf)")
-    return values
 
 
 class _UniformityBall:
@@ -245,90 +243,6 @@ def _bb_step(df, dgrad, fallback):
     return step if 0.0 < step < math.inf else fallback
 
 
-class _EngineTrials:
-    """The trials ``f + s d`` along one ascent direction, each evaluated by
-    one engine pass: the U(k) norm and the dual field together."""
-
-    def __init__(self, gv, w, k, f, d):
-        self.gv, self.w, self.k = gv, w, k
-        self.f, self.d = f, d
-
-    def norm(self, s):
-        """The U(k) norm of the trial at step ``s``, which the other reads
-        then refer to."""
-        self.trial = _require_finite(self.f + s * self.d)
-        u, self.dual = _norm_and_dual(self.trial, self.w, self.k)
-        return u
-
-    def values(self):
-        return self.trial
-
-    def numerator(self):
-        """``<g, trial>`` over the cell measure."""
-        return float(np.sum(self.gv * self.trial))
-
-    def field(self):
-        return self.dual
-
-    def move(self, s, nrm, f, d):
-        """Carry the trials to the new iterate ``f``, the trial at ``s`` over
-        ``nrm``, and its direction ``d``."""
-        self.f, self.d = f, d
-
-
-class _SpectralTrials(_EngineTrials):
-    """At k=2, the trials read off the iterate's spectrum
-    (``norms._Order2Line``): a trial's norm and numerator take no transform,
-    its values and field are built only when asked for (the field by one
-    inverse transform), and a move takes one forward transform. A trial the
-    line cannot evaluate, one whose model norm or numerator is not a finite
-    normal float64, takes one engine pass instead."""
-
-    def __init__(self, gv, w, k, f, d):
-        super().__init__(gv, w, k, f, d)
-        self.line = _Order2Line(f, d, w)
-        self._pair()
-
-    def _pair(self):
-        # <g, f> and <g, d> over the cell measure: a trial's numerator is
-        # their combination
-        self.gf, self.gd = float((self.gv * self.f).sum()), float((self.gv * self.d).sum())
-
-    def norm(self, s):
-        self.s, self.trial, self.dual = s, None, None
-        self.num = self.gf + s * self.gd
-        try:
-            u = self.line.norm(s)
-        except OverflowError:
-            u = math.nan
-        self.engine = not (math.isfinite(u) and math.isfinite(self.num))
-        if self.engine:
-            u = super().norm(s)
-            self.num = super().numerator()
-        return u
-
-    def values(self):
-        if self.trial is None:
-            self.trial = _require_finite(self.f + self.s * self.d)
-        return self.trial
-
-    def numerator(self):
-        return self.num
-
-    def field(self):
-        if self.dual is None:
-            self.dual = self.line.field(self.s)
-        return self.dual
-
-    def move(self, s, nrm, f, d):
-        super().move(s, nrm, f, d)
-        if self.engine:  # the line does not hold this trial's spectrum
-            self.line = _Order2Line(f, d, self.w)
-        else:
-            self.line.move(s, nrm, f, d)
-        self._pair()
-
-
 def _ascend(g, k, ball, opts, candidates):
     """Backtracking ascent of ``<g, f>`` over the ball norm of ``f`` from the
     best seed.
@@ -340,8 +254,8 @@ def _ascend(g, k, ball, opts, candidates):
     accepted pair, and the ascent stops after two consecutive accepted steps
     that each gain at most ``rel_tol * |value|``. Every seed costs one
     engine pass, which gives its U(k) norm and its dual field together; the
-    trials along a direction come from its evaluator (``_EngineTrials``,
-    ``_SpectralTrials`` at k=2), which gives a trial's norm first and its
+    trials along a direction are the points of its line
+    (``norms._ascent_line``), which gives a trial's norm first and its
     values and field only when the ball or the value test asks for them.
     The loop works on frame arrays. The engine's cost model for one pass on
     the frame is checked against the default work budget first. Returns
@@ -376,7 +290,7 @@ def _ascend(g, k, ball, opts, candidates):
     resid = _lp_norm(grad, cell, ball.s) if ball.gated else None
     history = [(val, resid, u_f)]
     passes = len(stack) - 1
-    trials = (_SpectralTrials if ball.k == 2 else _EngineTrials)(gv, w, ball.k, f, grad)
+    line = _ascent_line(gv, f, grad, w, ball.k)
     step = STEP_INIT
     iterations = 0
     small_gains = 0
@@ -384,20 +298,20 @@ def _ascend(g, k, ball, opts, candidates):
     for _ in range(opts.max_iters):
         s = step
         while s > STEP_MIN:
-            u = trials.norm(s)
+            u = line.norm(s)
             passes += 1
-            nrm = ball.norm_from(trials.values, u)
+            nrm = ball.norm_from(line.values, u)
             if nrm > 0.0:
-                val_try = cell * trials.numerator() / nrm
+                val_try = cell * line.numerator() / nrm
                 if val_try > val * (1.0 + ACCEPT_SLACK):
-                    dual_try = trials.field() / nrm ** (two_k - 1)
-                    f_try = _require_finite(trials.values() * (1.0 / nrm))
+                    dual_try = line.field() / nrm ** (two_k - 1)
+                    f_try = _require_finite(line.values() * (1.0 / nrm))
                     grad_try = _direction(gv, f_try, val_try, dual_try, ball)
                     # the gated residual is the direction's L^s norm
                     resid_try = _lp_norm(grad_try, cell, ball.s) if ball.gated else None
                     if not ball.gated or not resid_try > resid * (1.0 + RESIDUAL_SLACK):
                         step = _bb_step(f_try - f, grad_try - grad, s / BACKTRACK)
-                        trials.move(s, nrm, f_try, grad_try)
+                        line.move(s, nrm, f_try, grad_try)
                         prev, f, val, u_f = val, f_try, val_try, u / nrm
                         grad, resid = grad_try, resid_try
                         break

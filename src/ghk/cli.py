@@ -11,6 +11,7 @@ Errors print a machine-parsable JSON diagnostic to stderr and exit nonzero.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 import time
@@ -213,6 +214,7 @@ def _cmd_verify(args):
         "all_passed": report.all_passed,
         "records": len(report.records),
         "counts": report.counts,
+        "canonical_sha256": hashlib.sha256(report.canonical_bytes()).hexdigest(),
         "out": args.out,
     }
     print(json.dumps(summary))

@@ -38,6 +38,13 @@ def _as_origin(origin, dim):
     return origin
 
 
+def _require_finite(values):
+    """``values``, or ``ValueError`` if any of them is NaN or infinite."""
+    if not np.isfinite(values).all():
+        raise ValueError("grid values must be finite (no NaN/inf)")
+    return values
+
+
 @dataclass(frozen=True, eq=False, slots=True, weakref_slot=True)
 class GridFunction:
     """A real step function sampled on a uniform lattice.
@@ -67,8 +74,7 @@ class GridFunction:
         if any(n < 1 for n in arr.shape):
             raise ValueError(f"all extents must be >= 1, got {arr.shape}")
         check_allocation(arr.size)
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("grid values must be finite (no NaN/inf)")
+        _require_finite(arr)
         w = float(self.spacing)
         if not (math.isfinite(w) and w > 0.0):
             raise ValueError(f"spacing must be a positive finite real, got {w}")

@@ -33,8 +33,9 @@ the input shape and the output box is planned once per pair (``_plan``).
 Only this module calls the engine; the others call its passes:
 ``_dual_unit`` for a dual field and ``_norm_and_dual``, which pads each axis
 to 2N and returns the norm with the field on the frame, so the ascent in
-``antiuniform`` gets both from one pass. At k=2 the ascent's trials along a
-line come from ``_Order2Line``, which keeps the base spectra of the line's
+``antiuniform`` gets both from one pass. The ascent's trials along a line
+come from ``_ascent_line``: a ``_Line`` takes one such pass per trial at
+k >= 3, and at k=2 an ``_Order2Line`` keeps the base spectra of the line's
 point and direction and shares the engine's one-row base arithmetic
 (``_base_power``, ``_base_field``).
 """
@@ -58,7 +59,8 @@ from .budget import (
 from .cubes import FunctionTuple
 from .exponents import exponent_triple
 from .grid import (
-    GridFunction, _field_from, _frozen, _scale_back, _unit_binade, _unit_rows, fourier, lp_norm,
+    GridFunction, _field_from, _frozen, _require_finite, _scale_back, _unit_binade, _unit_rows,
+    fourier, lp_norm,
 )
 from .records import INEQ_SLACK, check_record, instance_params, safe_ratio
 
@@ -404,18 +406,51 @@ def _norm_and_dual(values, spacing, k):
     )
 
 
-class _Order2Line:
-    """The points ``f + s d`` of a line through frame values at k=2, read off
-    the spectra that a pass of :func:`_norm_and_dual` transforms: padded to
-    2N per axis, ``F`` of ``f * 2**-ef`` and ``D`` of ``d * 2**-ed``, the
-    exponents those of :func:`_unit_binade`. The spectrum is linear in the
-    values, so a point's U(2) norm takes no transform, and its dual field
-    on the frame one inverse transform; :meth:`move` takes one forward
-    transform. Norms and fields agree with the engine's to roundoff and
-    raise its ``OverflowError`` where they are not normal float64s.
-    """
+class _Line:
+    """The points ``f + s d`` of a line through frame values, as an order-k
+    ascent on ``<g, .>`` evaluates them: :meth:`norm` sets the point that
+    :meth:`numerator`, :meth:`values` and :meth:`field` read, and :meth:`move`
+    carries the line to the next iterate and direction. Each point takes one
+    engine pass (:func:`_norm_and_dual`); :class:`_Order2Line` takes fewer."""
 
-    def __init__(self, f, d, spacing):
+    def __init__(self, g, f, d, spacing, k):
+        self.g, self.f, self.d, self.spacing, self.k = g, f, d, spacing, k
+
+    def norm(self, s):
+        """``||f + s d||_U(k)``."""
+        self.s, self.point = s, None
+        u, self.dual = _norm_and_dual(self.values(), self.spacing, self.k)
+        return u
+
+    def values(self):
+        if self.point is None:
+            self.point = _require_finite(self.f + self.s * self.d)
+        return self.point
+
+    def numerator(self):
+        """``<g, f + s d>`` without the cell measure."""
+        return float(np.sum(self.g * self.values()))
+
+    def field(self):
+        return self.dual
+
+    def move(self, s, nrm, f, d):
+        """Carry the line to ``f``, its point at ``s`` over ``nrm``, along ``d``."""
+        self.f, self.d = f, d
+
+
+class _Order2Line(_Line):
+    """The line at k=2, read off the spectra that a pass of
+    :func:`_norm_and_dual` transforms: padded to 2N per axis, ``F`` of
+    ``f * 2**-ef`` and ``D`` of ``d * 2**-ed`` (the :func:`_unit_binade`
+    exponents). The spectrum is linear in the values, so a point's norm and
+    numerator take no transform, its values and field (one inverse
+    transform) are built only when asked for, and :meth:`move` takes one
+    forward transform. Norms and fields agree with the engine's to roundoff
+    and raise its ``OverflowError`` where they are not normal float64s."""
+
+    def __init__(self, g, f, d, spacing):
+        super().__init__(g, f, d, spacing, 2)
         n = f.shape
         self.plan = _plan(n, (0,) * len(n), n)
         self.size = math.prod(self.plan.padded)
@@ -425,9 +460,14 @@ class _Order2Line:
         spec = self._spectra(np.stack([uf, ud]))
         self.F, self.D = spec[:1], spec[1:]
         self._at = None
+        self._pair()
 
     def _spectra(self, rows):
         return np.fft.rfftn(rows, s=self.plan.padded, axes=tuple(range(1, rows.ndim)))
+
+    def _pair(self):
+        # <g, f> and <g, d>: a point's numerator is their combination
+        self.gf, self.gd = float((self.g * self.f).sum()), float((self.g * self.d).sum())
 
     def _point(self, s):
         # (s, T, e, |T|^2, sum |T|^4): T the spectrum of (f + s d) * 2**-e,
@@ -442,19 +482,24 @@ class _Order2Line:
 
     def norm(self, s):
         """``||f + s d||_U(2)``, without a transform."""
+        self.s, self.point, self.dual = s, None, None
         _, _, e, _, total = self._point(s)
         return _norm_from_power(total / self.size * self.w_norm, 2, e)
 
-    def field(self, s):
+    def numerator(self):
+        return self.gf + self.s * self.gd
+
+    def field(self):
         """``D_2(f + s d)`` on the frame, from one inverse transform."""
-        _, spec, e, a, _ = self._point(s)
-        raw = _base_field(spec * a, self.plan)[0]
-        return _field_from(raw * self.w_field, 2, 3 * e)
+        if self.dual is None:
+            _, spec, e, a, _ = self._point(self.s)
+            raw = _base_field(spec * a, self.plan)[0]
+            self.dual = _field_from(raw * self.w_field, 2, 3 * e)
+        return self.dual
 
     def move(self, s, nrm, f, d):
-        """Carry the line to the point ``f = (f + s d) / nrm`` (its values,
-        which set ``ef``) along the new direction ``d``: one forward
-        transform, for ``D``."""
+        # F from the point's spectrum (f's values set ef), D from one transform
+        super().move(s, nrm, f, d)
         _, spec, e, _, _ = self._point(s)
         m, en = math.frexp(nrm)
         self.ef = math.frexp(float(np.abs(f).max()))[1]
@@ -462,6 +507,12 @@ class _Order2Line:
         ud, self.ed = _unit_binade(d)
         self.D = self._spectra(ud[None])
         self._at = None
+        self._pair()
+
+
+def _ascent_line(g, f, d, spacing, k):
+    """The line of an order-k ascent on ``<g, .>`` through ``f`` along ``d``."""
+    return _Order2Line(g, f, d, spacing) if k == 2 else _Line(g, f, d, spacing, k)
 
 
 def gowers_norm_spectral_u2(f, work_budget=None):

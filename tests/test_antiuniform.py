@@ -36,6 +36,10 @@ class TestAscentOptions:
             AscentOptions(max_iters=0)
         with pytest.raises(ValueError):
             AscentOptions(rel_tol=0)
+        with pytest.raises(ValueError):
+            AscentOptions(rel_tol=float("nan"))
+        with pytest.raises(ValueError):
+            AscentOptions(max_iters=2.5)
         with pytest.raises(TypeError):
             AscentOptions(step_init=1.0)
 
@@ -390,21 +394,21 @@ class TestPasses:
 
 
 class TestSpectralTrials:
-    """The k=2 ascent's carried spectrum stays on its iterate, and a trial
-    the line cannot evaluate takes an engine pass instead."""
+    """The k=2 ascent's carried spectrum stays on its iterate, and an
+    ``OverflowError`` of its line ends the ascent."""
 
     @pytest.mark.parametrize("d, n, blend", [(2, 8, False), (3, 4, False), (2, 8, True)])
     def test_no_drift_over_a_long_run(self, monkeypatch, d, n, blend):
-        from ghk import antiuniform
+        from ghk import antiuniform, norms
 
         lines = []
 
-        class RecordedLine(antiuniform._Order2Line):
+        class RecordedLine(norms._Order2Line):
             def __init__(self, *args):
                 super().__init__(*args)
                 lines.append(self)
 
-        monkeypatch.setattr(antiuniform, "_Order2Line", RecordedLine)
+        monkeypatch.setattr(norms, "_Order2Line", RecordedLine)
         g = random_function("tent", d, n, 0.125, 3)
         ball = antiuniform._UniformityBall(2)
         if blend:
@@ -415,23 +419,18 @@ class TestSpectralTrials:
         assert lines[-1].norm(0.0) == pytest.approx(gowers_norm_rec(f, 2), rel=1e-12)
 
     @pytest.mark.parametrize("family", ["random-nonneg", "tent", "indicator-box"])
-    def test_fallback_is_the_engine_ascent(self, monkeypatch, family):
-        from ghk import antiuniform
-
-        g = random_function(family, 2, 6, 0.125, 3)
-        with monkeypatch.context() as m:
-            m.setattr(antiuniform, "_SpectralTrials", antiuniform._EngineTrials)
-            engine = dual_norm_lower(g, 2), decompose(g, 2, 0.5)
+    def test_line_overflow_propagates(self, monkeypatch, family):
+        from ghk import norms
 
         def overflow(self, s):
-            raise OverflowError("model norm out of range")
+            raise OverflowError("U(2) norm outside the normal float64 range")
 
-        monkeypatch.setattr(antiuniform._Order2Line, "norm", overflow)
-        fallback = dual_norm_lower(g, 2), decompose(g, 2, 0.5)
-        assert fallback[0].value == engine[0].value
-        assert fallback[0].passes == engine[0].passes
-        assert np.array_equal(fallback[1].F.values, engine[1].F.values)
-        assert fallback[1].diagnostics == engine[1].diagnostics
+        monkeypatch.setattr(norms._Order2Line, "norm", overflow)
+        g = random_function(family, 2, 6, 0.125, 3)
+        with pytest.raises(OverflowError, match="normal float64"):
+            dual_norm_lower(g, 2)
+        with pytest.raises(OverflowError, match="normal float64"):
+            decompose(g, 2, 0.5)
 
 
 class TestBudgetGuards:

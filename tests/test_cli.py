@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -18,6 +19,7 @@ from ghk.cli import main
 from ghk.cubes import FunctionTuple
 from ghk.families import random_function
 from ghk.records import ORACLE_TOL
+from ghk.suite import run_suite
 
 
 @pytest.fixture
@@ -42,6 +44,8 @@ MALFORMED_CONFIGS = [
     ({"k": 2}, "'k'"),
     ({"rep": 1}, "'rep'"),
     ({"check": ["oracle-norm"]}, "'check'"),
+    ({"ascent": {"max_iters": 2.5}}, "'ascent'"),
+    ({"ascent": {"rel_tol": float("nan")}}, "'ascent'"),
 ]
 
 
@@ -282,6 +286,8 @@ class TestVerifyCmd:
         assert summary["all_passed"] is True
         report = json.loads(open(out_path).read())
         assert len(report["records"]) == 2
+        canonical = run_suite(self.CONFIG, threads=1).canonical_bytes()
+        assert summary["canonical_sha256"] == hashlib.sha256(canonical).hexdigest()
 
     def test_replay(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -268,13 +268,15 @@ LINE_STEPS = (1e-9, 1e-3, 1.0, 1e3)
 class TestOrder2Line:
     """At k=2 the points ``f + s d`` of a line are read off the spectra of
     ``f`` and ``d``: the norm agrees with the recursion's, the field with
-    ``dual_rec``'s, and both scale as the engine's do."""
+    ``dual_rec``'s, the numerator with the direct sum, and all scale as the
+    engine's do."""
 
     @staticmethod
     def line(d, n, family, seed, t=1.0):
         f = scale(random_function(family, d, n, 0.25, seed), t)
         v = scale(random_function("random-signed", d, n, 0.25, seed + 1), t)
-        return f, v, _Order2Line(f.values, v.values, f.spacing)
+        g = random_function("random-nonneg", d, n, 0.25, seed + 2).values
+        return f, v, g, _Order2Line(g, f.values, v.values, f.spacing)
 
     @staticmethod
     def point(f, v, s):
@@ -283,22 +285,23 @@ class TestOrder2Line:
     @pytest.mark.parametrize("d, n", [(1, 8), (2, 5), (3, 3)])
     @pytest.mark.parametrize("family", ["random-signed", "random-nonneg", "indicator-box"])
     def test_matches_the_recursion(self, fft_calls, d, n, family):
-        f, v, line = self.line(d, n, family, 31)
+        f, v, g, line = self.line(d, n, family, 31)
         assert fft_calls == {"rfftn": 1}  # f and d in one transform
         for s in LINE_STEPS:
             p = self.point(f, v, s)
             u, want = gowers_norm_rec(p, 2), dual_rec(p, 2).values
             fft_calls.clear()
             assert line.norm(s) == pytest.approx(u, rel=1e-12)
+            assert line.numerator() == pytest.approx(np.sum(g * p.values), rel=1e-12)
             assert not fft_calls
-            field = line.field(s)
+            field = line.field()
             assert fft_calls == {"irfftn": 1}
             tol = ORACLE_TOL * max(1.0, np.abs(want).max())
             np.testing.assert_allclose(field, want, rtol=0, atol=tol)
 
     @pytest.mark.parametrize("d, n", [(1, 8), (2, 5), (3, 3)])
     def test_move(self, fft_calls, d, n):
-        f, v, line = self.line(d, n, "random-nonneg", 37)
+        f, v, g, line = self.line(d, n, "random-nonneg", 37)
         p = self.point(f, v, 1e-3)
         nrm = gowers_norm_rec(p, 2)
         f2 = p.values * (1.0 / nrm)
@@ -309,11 +312,12 @@ class TestOrder2Line:
         for s in LINE_STEPS:
             q = from_values(f2 + s * v2, f.spacing)
             assert line.norm(s) == pytest.approx(gowers_norm_rec(q, 2), rel=1e-12)
+            assert line.numerator() == pytest.approx(np.sum(g * q.values), rel=1e-12)
 
     @pytest.mark.parametrize("j", [600, -600])
     @pytest.mark.parametrize("d, n", [(1, 8), (2, 5)])
     def test_scaled_inputs(self, d, n, j):
-        f, v, line = self.line(d, n, "random-nonneg", 41, 2.0**j)
+        f, v, _, line = self.line(d, n, "random-nonneg", 41, 2.0**j)
         for s in LINE_STEPS:
             p = self.point(f, v, s)
             assert line.norm(s) == pytest.approx(gowers_norm_rec(p, 2), rel=1e-12)
@@ -321,9 +325,9 @@ class TestOrder2Line:
                 want = dual_rec(p, 2).values
             except OverflowError:
                 with pytest.raises(OverflowError):
-                    line.field(s)
+                    line.field()
                 continue
-            np.testing.assert_allclose(line.field(s), want, rtol=0, atol=1e-12 * np.abs(want).max())
+            np.testing.assert_allclose(line.field(), want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
 class TestEnginePlan:
