@@ -42,11 +42,6 @@ def _ascent_opts(args):
     return AscentOptions(**{n: v for n, v in given.items() if v is not None})
 
 
-def _add_ascent_flags(sub):
-    sub.add_argument("--max-iters", type=int, default=None)
-    sub.add_argument("--rel-tol", type=float, default=None)
-
-
 def _print(doc, as_json):
     if as_json:
         print(json.dumps(doc))
@@ -245,75 +240,66 @@ def build_parser():
     parser.add_argument("--version", action="version", version=f"ghk {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("exponents", help="print the exact exponent triple")
-    p.add_argument("--k", type=int, required=True)
-    p.set_defaults(fn=_cmd_exponents)
+    def command(name, fn, help, *parents):
+        sub = subs.add_parser(name, help=help, parents=parents)
+        sub.set_defaults(fn=fn)
+        return sub
 
-    p = subs.add_parser("norm", help="order-k uniformity norm of a grid file")
-    p.add_argument("--k", type=int, required=True)
+    # the flags that several subcommands share, each defined once on a parent
+    k, inputs, budget, as_json, ascent = (
+        argparse.ArgumentParser(add_help=False) for _ in range(5)
+    )
+    k.add_argument("--k", type=int, required=True)
+    inputs.add_argument("--in", dest="inputs", action="append", required=True)
+    budget.add_argument("--budget", type=int, default=None)
+    as_json.add_argument("--json", action="store_true")
+    ascent.add_argument("--max-iters", type=int, default=None)
+    ascent.add_argument("--rel-tol", type=float, default=None)
+
+    # each subcommand: its help, its shared flags, then its own arguments
+    command("exponents", _cmd_exponents, "print the exact exponent triple", k)
+
+    p = command("norm", _cmd_norm, "order-k uniformity norm of a grid file",
+                k, inputs, budget, as_json)
     p.add_argument("--algo", choices=("brute", "rec", "spectral"), default="rec")
-    p.add_argument("--in", dest="inputs", action="append", required=True)
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_norm)
 
-    p = subs.add_parser("inner", help="pairing of two grid files")
-    p.add_argument("--in", dest="inputs", action="append", required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_inner)
+    command("inner", _cmd_inner, "pairing of two grid files", inputs, as_json)
 
-    p = subs.add_parser("dual", help="cubic convolution product field")
-    p.add_argument("--k", type=int, required=True)
+    p = command("dual", _cmd_dual, "cubic convolution product field", k, inputs, budget, as_json)
     p.add_argument("--algo", choices=("brute", "rec"), default="brute")
-    p.add_argument("--in", dest="inputs", action="append", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_dual)
 
-    p = subs.add_parser("check", help="run one inequality check, emit the record")
+    p = command("check", _cmd_check, "run one inequality check, emit the record",
+                k, inputs, budget)
     p.add_argument("name", choices=tuple(_CHECKS))
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--in", dest="inputs", action="append", required=True)
     p.add_argument("--shift", default=None, help="lattice offset for continuity")
-    p.add_argument("--budget", type=int, default=None)
-    p.set_defaults(fn=_cmd_check)
 
-    p = subs.add_parser("dualnorm", help="certified dual-norm lower bound")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--in", dest="inputs", action="append", required=True)
+    p = command("dualnorm", _cmd_dualnorm, "certified dual-norm lower bound",
+                k, inputs, as_json, ascent)
     p.add_argument("--out-witness", default=None)
-    p.add_argument("--json", action="store_true")
-    _add_ascent_flags(p)
-    p.set_defaults(fn=_cmd_dualnorm)
 
-    p = subs.add_parser("decompose", help="anti-uniform decomposition g = D_k F + H")
-    p.add_argument("--k", type=int, required=True)
+    p = command("decompose", _cmd_decompose, "anti-uniform decomposition g = D_k F + H",
+                k, inputs, ascent)
     p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--in", dest="inputs", action="append", required=True)
     p.add_argument("--out-f", required=True)
     p.add_argument("--out-h", required=True)
     p.add_argument("--out-gnorm", default=None)
     p.add_argument("--report", default=None)
-    _add_ascent_flags(p)
-    p.set_defaults(fn=_cmd_decompose)
 
-    p = subs.add_parser("verify", help="run the randomized verification suite")
+    p = command("verify", _cmd_verify, "run the randomized verification suite")
     p.add_argument("--config", default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--threads", type=int, default=None)
     p.add_argument("--artifacts", default=None)
     p.add_argument("--replay", default=None, help="NAME:K:D:SEED")
-    p.set_defaults(fn=_cmd_verify)
 
-    p = subs.add_parser("bench", help="time kernels, emit CSV rows")
+    p = command("bench", _cmd_bench, "time kernels, emit CSV rows")
     p.add_argument("--kernels", default=None, help="comma list; default all")
     p.add_argument("--sizes", default="", help="comma list of N values")
     p.add_argument("--reps", type=int, default=5)
     p.add_argument("--d", type=int, default=1)
     p.add_argument("--seed", type=int, default=12345)
     p.add_argument("--out", default=None)
-    p.set_defaults(fn=_cmd_bench)
 
     return parser
 

@@ -13,6 +13,7 @@ README; the tolerances themselves are named once, in ``records``.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from collections.abc import Mapping
@@ -82,12 +83,57 @@ DEFAULT_CONFIG = {
 
 
 class _Ctx:
+    """A suite configuration, read once.
+
+    ``config`` is the default configuration updated by the mapping given; the
+    other fields hold its values as the sweeps use them. A key that is not a
+    default one, or a value the sweeps cannot read or would run wrongly,
+    raises ``ValueError`` naming its key.
+    """
+
     def __init__(self, config):
-        self.n_cap = int(config.get("n", 16))
-        self.w = float(config.get("spacing", 0.125))
-        self.deltas = [float(x) for x in config.get("deltas", [0.5, 0.25])]
-        self.opts = AscentOptions(**config.get("ascent", {}))
-        self.work_budget = config.get("work_budget")
+        if not isinstance(config, Mapping | None):
+            raise ValueError(f"a suite config is a JSON object, not {type(config).__name__}")
+        for key in config or {}:
+            if key not in DEFAULT_CONFIG:
+                known = list(DEFAULT_CONFIG)
+                raise ValueError(f"suite config key {key!r}: unknown, not one of {known}")
+        self.config = merged = {**DEFAULT_CONFIG, **(config or {})}
+        if merged["checks"] is None:
+            merged["checks"] = list(CHECKS)
+
+        def refuse(key, bad, text):
+            if bad:
+                raise ValueError(f"suite config key {key!r}: {bad[0]!r} {text}")
+
+        def read(key, convert, ok=lambda x: True, text=""):
+            """``convert(config[key])``, refused as ``text`` unless ``ok`` holds
+            for each of its items (for the value itself if it is no list)."""
+            try:
+                value = convert(merged[key])
+                bad = [x for x in (value if isinstance(value, list) else [value]) if not ok(x)]
+            except (TypeError, ValueError, AttributeError) as err:
+                raise ValueError(f"suite config key {key!r}: {err}") from None
+            refuse(key, bad, text)
+            return value
+
+        self.ks = read("k", lambda v: [int(x) for x in v], lambda k: k >= 2, "is below 2")
+        self.ds = read("d", lambda v: [int(x) for x in v], lambda d: 1 <= d <= 3, "is not in 1..3")
+        self.n_cap = read("n", int, lambda n: n >= 1, "is below 1")
+        self.w = read("spacing", float, lambda w: 0 < w < math.inf, "is not a positive number")
+        self.base_seed = read("base_seed", int, lambda s: s >= 0, "is negative")
+        reps = read("reps", int, lambda r: r >= 0, "is negative")
+        overrides = read("reps_overrides", lambda v: {x: int(r) for x, r in v.items()})
+        refuse("reps_overrides", [x for x in overrides if x not in CHECKS], "is an unknown check")
+        refuse("reps_overrides", [r for r in overrides.values() if r < 0], "is negative")
+        self.checks = read("checks", list, CHECKS.__contains__, "is an unknown check")
+        # a check's rep count: its override, else ``reps``
+        self.reps = {name: overrides.get(name, reps) for name in self.checks}
+        self.deltas = read("deltas", lambda v: [float(x) for x in v],
+                           lambda t: 0 < t <= 1, "is outside (0, 1]")
+        self.opts = read("ascent", lambda v: AscentOptions(**v))
+        self.work_budget = read("work_budget", lambda v: v if v is None else int(v),
+                                lambda b: b is None or b >= 0, "is negative")
 
     def size(self, k, d, d1_by_k, dn_by_k):
         """Instance extent per axis: d = 1 sizes, shrunk for d >= 2 so the
@@ -354,37 +400,11 @@ CHECKS = {
 }
 
 
-#: How the sweeps read each configuration key.
-_CONFIG_READERS = {
-    **dict.fromkeys(("k", "d"), lambda v: [int(x) for x in v]),
-    **dict.fromkeys(("n", "base_seed", "reps"), int),
-    "spacing": float,
-    "reps_overrides": lambda v: [int(r) for r in v.values()],
-    "deltas": lambda v: [float(x) for x in v],
-    "ascent": lambda v: AscentOptions(**v),
-    "work_budget": lambda v: v is None or int(v),
-    "checks": list,
-}
-
-
 def resolved_config(config=None):
     """The default configuration updated by the mapping ``config``; a key
-    that is not a default one, or a value the sweeps cannot read, raises
-    ``ValueError`` naming its key."""
-    if not isinstance(config, Mapping | None):
-        raise ValueError(f"a suite config is a JSON object, not {type(config).__name__}")
-    for key in config or {}:
-        if key not in DEFAULT_CONFIG:
-            raise ValueError(f"suite config key {key!r}: unknown, not one of {list(DEFAULT_CONFIG)}")
-    merged = {**DEFAULT_CONFIG, **(config or {})}
-    if merged["checks"] is None:
-        merged["checks"] = list(CHECKS)
-    for key, read in _CONFIG_READERS.items():
-        try:
-            read(merged[key])
-        except (TypeError, ValueError, AttributeError) as err:
-            raise ValueError(f"suite config key {key!r}: {err}") from None
-    return merged
+    that is not a default one, or a value the sweeps cannot read or would
+    run wrongly, raises ``ValueError`` naming its key."""
+    return _Ctx(config).config
 
 
 def run_check(config, name, k, d, seed):
@@ -395,12 +415,15 @@ def run_check(config, name, k, d, seed):
     """
     if name not in CHECKS:
         raise ValueError(f"unknown check {name!r}")
-    fn, applicable = CHECKS[name]
-    if not applicable(k):
+    if not CHECKS[name][1](k):
         raise ValueError(f"check {name} does not apply at k={k}")
-    ctx = _Ctx(resolved_config(config))
+    return _timed_check(_Ctx(config), name, k, d, seed)
+
+
+def _timed_check(ctx, name, k, d, seed):
+    """``run_check`` on a configuration already read into ``ctx``."""
     t0 = time.perf_counter()
-    record, grids = fn(ctx, k, d, seed)
+    record, grids = CHECKS[name][0](ctx, k, d, seed)
     record.seed = seed
     record.runtime_ms = 1e3 * (time.perf_counter() - t0)
     return record, grids if record.passed is False else None
@@ -415,7 +438,6 @@ def _write_failure_artifacts(directory, record, grids):
     replay = _replay(record.name, record.params.get("k"), record.params.get("d"), record.seed)
     with open(os.path.join(case_dir, "replay.txt"), "w") as fh:
         fh.write(replay + "\n")
-    return case_dir
 
 
 def _replay(name, k, d, seed):
@@ -431,55 +453,39 @@ def run_suite(config=None, threads=None, artifacts_dir=None):
     the offending instance for replay. Failing (gated) instances are written
     as GHK1 grids plus a replay command when ``artifacts_dir`` is given.
     """
-    config = resolved_config(config)
-    base_seed = int(config.get("base_seed", 0))
-    reps_default = int(config.get("reps", 100))
-    overrides = config.get("reps_overrides", {})
-
-    tasks = []
-    for name in config["checks"]:
-        if name not in CHECKS:
-            raise ValueError(f"unknown check {name!r} in config")
-        _, applicable = CHECKS[name]
-        reps = int(overrides.get(name, reps_default))
-        for k in config["k"]:
-            if not applicable(int(k)):
-                continue
-            for d in config["d"]:
-                for i in range(reps):
-                    tasks.append((name, int(k), int(d), base_seed + i))
-
-    records = []
-    failures = []
-    n_threads = threads or 1
+    ctx = _Ctx(config)
+    tasks = [
+        (name, k, d, ctx.base_seed + i)
+        for name in ctx.checks
+        for k in ctx.ks
+        if CHECKS[name][1](k)
+        for d in ctx.ds
+        for i in range(ctx.reps[name])
+    ]
 
     def _run(task):
         try:
-            return task, run_check(config, *task)
+            return task, _timed_check(ctx, *task)
         except BudgetExceededError as err:
             return task, err
 
-    if n_threads > 1 and len(tasks) > 1:
+    if threads and threads > 1 and len(tasks) > 1:
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             outcomes = list(pool.map(_run, tasks))
     else:
         outcomes = [_run(t) for t in tasks]
 
+    records = []
     budget_abort = None
     for task, outcome in outcomes:
         if isinstance(outcome, BudgetExceededError):
-            if budget_abort is None:
-                budget_abort = (task, outcome)
+            budget_abort = budget_abort or (task, outcome)
             continue
         record, grids = outcome
         records.append(record)
-        if record.passed is False:
-            failures.append((record, grids))
-
-    if artifacts_dir:
-        for record, grids in failures:
+        if record.passed is False and artifacts_dir:
             _write_failure_artifacts(artifacts_dir, record, grids)
 
     if budget_abort:
@@ -491,6 +497,4 @@ def run_suite(config=None, threads=None, artifacts_dir=None):
                 fh.write(replay + "\n")
         raise BudgetExceededError(err.kind, err.needed, err.budget) from err
 
-    return SuiteReport(
-        version=__version__, config_hash=config_hash(config), records=records
-    )
+    return SuiteReport(version=__version__, config_hash=config_hash(ctx.config), records=records)

@@ -46,6 +46,11 @@ MALFORMED_CONFIGS = [
     ({"check": ["oracle-norm"]}, "'check'"),
     ({"ascent": {"max_iters": 2.5}}, "'ascent'"),
     ({"ascent": {"rel_tol": float("nan")}}, "'ascent'"),
+    ({"reps_overrides": {"eq2.1-lemma": 3}}, "'reps_overrides'"),
+    ({"checks": ["no-such-check"]}, "'checks'"),
+    ({"reps": -3}, "'reps'"),
+    ({"deltas": [2.0]}, "'deltas'"),
+    ({"spacing": 0}, "'spacing'"),
 ]
 
 

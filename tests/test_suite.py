@@ -1,5 +1,7 @@
 import concurrent.futures
 import json
+import pathlib
+import re
 import weakref
 
 import numpy as np
@@ -248,6 +250,20 @@ class TestRunSuite:
             ({"reps": None}, "'reps'"),
             ([1, 2], "JSON object"),
             ({"k": 2}, "'k'"),
+            ({"reps_overrides": {"eq2.1-lemma": 3}}, "'reps_overrides': 'eq2.1-lemma'"),
+            ({"checks": ["oracle-norm", "eq2.1-lemma"]}, "'checks': 'eq2.1-lemma'"),
+            ({"reps": -3, "reps_overrides": {}}, "'reps': -3"),
+            ({"reps_overrides": {"oracle-norm": -1}}, "'reps_overrides': -1"),
+            ({"k": [2, 1]}, "'k': 1"),
+            ({"d": [0]}, "'d': 0"),
+            ({"d": [4]}, "'d': 4"),
+            ({"n": 0}, "'n': 0"),
+            ({"spacing": 0.0}, "'spacing': 0.0"),
+            ({"spacing": -0.125}, "'spacing': -0.125"),
+            ({"deltas": [0.5, 2.0]}, "'deltas': 2.0"),
+            ({"deltas": [0.0]}, "'deltas': 0.0"),
+            ({"work_budget": -1}, "'work_budget': -1"),
+            ({"base_seed": -1}, "'base_seed': -1"),
         ],
     )
     def test_malformed_config_names_its_key(self, config, key):
@@ -338,6 +354,26 @@ class TestFailureArtifacts:
             run_suite(cfg, threads=1, artifacts_dir=str(tmp_path))
         note = (tmp_path / "budget-abort.txt").read_text()
         assert "oracle-norm:3:1:1" in note
+
+
+class TestCatalog:
+    """Each ``CHECKS`` key is the name its records, its replay line and the
+    README's catalog give it."""
+
+    @pytest.mark.parametrize(
+        "name, k", [(name, k) for name, (_, on) in CHECKS.items() for k in (2, 3) if on(k)]
+    )
+    def test_records_carry_their_key(self, tmp_path, name, k):
+        rec, _ = run_check({"n": 4}, name, k, 1, 7)
+        assert rec.name == name
+        suite._write_failure_artifacts(str(tmp_path), rec, {})
+        (case,) = tmp_path.iterdir()
+        assert (case / "replay.txt").read_text() == f"ghk verify --replay '{name}:{k}:1:7'\n"
+
+    def test_readme_lists_the_catalog(self):
+        readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("\n## Verification suite\n", 1)[1].split("\n## ", 1)[0]
+        assert re.findall(r"^\| `([^`]+)`", section, flags=re.M) == list(CHECKS)
 
 
 class TestConfig:
