@@ -459,6 +459,7 @@ def corollary5(phi, k, opts=None):
     pnorm = lp_norm(phi, trip.p_float)
     if pnorm > 1.0 + PNORM_SLACK:
         phi = scale(phi, 1.0 / pnorm)
+    check_work(rec_gowers_work(phi.extents, k, out_extents=phi.extents))
     theta, dual_phi = _norm_and_dual(phi.values, phi.spacing, k)
     if theta <= 0.0:
         raise ValueError("corollary5 needs ||phi||_U(k) > 0")

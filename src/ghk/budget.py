@@ -72,13 +72,13 @@ def brute_gowers_work(extents, k):
 
 def brute_dual_work(extents, k, out_extents=None):
     """Visit-count model for the brute cubic convolution product field:
-    output cells times the shift vectors the kernel walks.
+    output cells times the shift vectors at which the kernel builds terms.
 
     Per axis a shift coordinate has ``n + out_n - 1`` admissible offsets. At
     ``k >= 2`` each shift is all that parts the reads of some two rows, so
-    the kernel keeps it in ``(-n, n)`` (``kernels._tight_ranges``) and walks
-    ``min(n + out_n - 1, 2n - 1)`` offsets; ``2n - 1`` when the output box is
-    the input box.
+    the kernel's per-head windows, its one pruning rule, build terms only
+    where it lies in ``(-n, n)``: ``min(n + out_n - 1, 2n - 1)`` offsets,
+    ``2n - 1`` when the output box is the input box.
     """
     out = extents if out_extents is None else out_extents
     work = math.prod(int(n) for n in out)
@@ -90,9 +90,9 @@ def brute_dual_work(extents, k, out_extents=None):
 
 def brute_pair_work(extents, k, out_extents=None):
     """Visit-count model for the brute double cubic sum of two punctured
-    stacks: its ``k`` shifts ``h`` walk as a field's do, and its ``k`` shifts
-    ``u``, each all that parts the reads of two of its rows, over
-    ``(-n, n)``."""
+    stacks: its ``k`` shifts ``h`` count as a field's do, and its ``k``
+    shifts ``u``, each all that parts the reads of two of its rows, range
+    over ``(-n, n)``."""
     u_offsets = math.prod(2 * int(n) - 1 for n in extents)
     return brute_dual_work(extents, k, out_extents) * u_offsets ** k
 

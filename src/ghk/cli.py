@@ -196,8 +196,7 @@ def _cmd_verify(args):
         parts = args.replay.split(":")
         if len(parts) != 4:
             raise ValueError("--replay expects NAME:K:D:SEED")
-        name, k, d, seed = parts[0], int(parts[1]), int(parts[2]), int(parts[3])
-        record, _ = run_check(config, name, k, d, seed)
+        record, _ = run_check(config, *parts)
         print(json.dumps(record.as_dict()))
         return 0 if record.passed is not False else 1
     report = run_suite(config, threads=args.threads, artifacts_dir=args.artifacts)

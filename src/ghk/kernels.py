@@ -22,15 +22,9 @@ sliding-window view of the late product, shift axes leading, times the early
 product gives every term of the head at once. The windows of a chunk of
 heads are computed together in numpy, so Python only slices and multiplies.
 
-The walk skips the heads and last-shift values whose window is provably
-empty, by one rule taken from the mask set (``_tight_ranges``): when two
-masks differ only in bit ``i``, every coordinate of shift ``i`` lies in
-``(-N, N)``. This cuts the ``u`` shifts of the pair kernel from ``4N-3`` to
-``2N-1`` values per coordinate, and at k >= 2 every shift of a field on its
-support or past the frame; the ranges of ``gowers_sum`` and of frame-box
-fields are tight already. Each block then keeps only the last-shift values
-at which some term can be nonzero, so a cut and an uncut walk build the same
-blocks and give the same sums bit for bit.
+The windows are the walk's one pruning rule: a head whose window is empty
+yields nothing, and each block keeps only the last-shift values at which
+some term can be nonzero.
 
 Reduction order is fixed, so results are bit-reproducible run to run: the
 heads in odometer order, and within a head the values of the last shift in
@@ -50,20 +44,6 @@ import math
 import numpy as np
 
 from .budget import check_allocation, memory_budget
-
-
-def _tight_ranges(masks, ranges, shape):
-    """``ranges`` (step 1) with each coordinate of shift ``i`` cut to
-    ``(-N, N)`` whenever two of ``masks`` differ only in bit ``i``."""
-    masks = set(masks)
-    d = len(shape)
-    ranges = list(ranges)
-    for i in range(len(ranges) // d):
-        if any(m ^ (1 << i) in masks for m in masks):
-            for a, n in enumerate(shape):
-                r = ranges[i * d + a]
-                ranges[i * d + a] = range(max(r.start, 1 - n), min(r.stop, n))
-    return ranges
 
 
 #: Head vectors whose windows are computed in one numpy pass.
@@ -124,15 +104,12 @@ def _flat_blocks(rows, masks, ranges, lo, hi):
     order, which is zero where a late row leaves the frame. The block keeps
     only the values of the last shift at which some term can be nonzero.
 
-    Heads with an empty window yield nothing, and the walk skips those that
-    ``_tight_ranges`` proves empty: two rows whose masks differ only in bit
-    ``i`` read ``h_i`` apart, so both stay in a frame of extent ``N`` only if
-    each coordinate of ``h_i`` lies in ``(-N, N)``.
+    Heads with an empty window yield nothing; the windows are the walk's
+    only pruning rule.
     """
     shape = rows[0].shape
     d = len(shape)
     last = len(ranges) // d - 1
-    ranges = _tight_ranges(masks, ranges, shape)
     head, tail = ranges[: last * d], ranges[last * d :]
     reads = np.array([[m >> i & 1 for i in range(last)] for m in masks], dtype=np.intp)
     reads = reads.reshape(len(masks), last)
@@ -242,10 +219,11 @@ def dual_pair_field_sum(stack1, stack2, k, out_lo, out_shape):
         raise ValueError(f"stacks have {stack1.shape[0]} rows, expected {(1 << k) - 1}")
     out_lo, out_hi = _out_box(out_lo, out_shape)
     shape = stack1.shape[1:]
-    h_ranges = [(-(h - 1), n - 1 - l) for l, h, n in zip(out_lo, out_hi, shape)] * k
-    ranges = [range(lo, hi + 1) for lo, hi in h_ranges] + [
-        range(lo - hi, hi - lo + 1) for lo, hi in h_ranges
-    ]
+    # at a = 2^i, f1_a and f2_a are read u_i apart, so both lie in the frame
+    # only if every coordinate of u_i lies in (-N, N)
+    ranges = [range(-(h - 1), n - l) for l, h, n in zip(out_lo, out_hi, shape)] * k + [
+        range(1 - n, n) for n in shape
+    ] * k
     masks = range(1, 1 << k)
     return _field(
         np.concatenate([stack1, stack2]),

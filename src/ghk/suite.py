@@ -88,10 +88,12 @@ class _Ctx:
     ``config`` is the default configuration updated by the mapping given; the
     other fields hold its values as the sweeps use them. A key that is not a
     default one, or a value the sweeps cannot read or would run wrongly,
-    raises ``ValueError`` naming its key.
+    raises ``ValueError`` naming its key. ``replay``, one record's
+    ``{"name": [name], "k": [k], "d": [d], "seed": seed}``, is read by the
+    rules of ``checks``, ``k``, ``d`` and ``base_seed`` into ``self.replay``.
     """
 
-    def __init__(self, config):
+    def __init__(self, config, replay=None):
         if not isinstance(config, Mapping | None):
             raise ValueError(f"a suite config is a JSON object, not {type(config).__name__}")
         for key in config or {}:
@@ -102,31 +104,37 @@ class _Ctx:
         if merged["checks"] is None:
             merged["checks"] = list(CHECKS)
 
-        def refuse(key, bad, text):
-            if bad:
-                raise ValueError(f"suite config key {key!r}: {bad[0]!r} {text}")
-
-        def read(key, convert, ok=lambda x: True, text=""):
-            """``convert(config[key])``, refused as ``text`` unless ``ok`` holds
+        def read(key, convert, ok=lambda x: True, text="", src=merged):
+            """``convert(src[key])``, refused as ``text`` unless ``ok`` holds
             for each of its items (for the value itself if it is no list)."""
+            where = "suite config key" if src is merged else "replay coordinate"
             try:
-                value = convert(merged[key])
+                value = convert(src[key])
                 bad = [x for x in (value if isinstance(value, list) else [value]) if not ok(x)]
             except (TypeError, ValueError, AttributeError) as err:
-                raise ValueError(f"suite config key {key!r}: {err}") from None
-            refuse(key, bad, text)
+                raise ValueError(f"{where} {key!r}: {err}") from None
+            if bad:
+                raise ValueError(f"{where} {key!r}: {bad[0]!r} {text}")
             return value
 
-        self.ks = read("k", lambda v: [int(x) for x in v], lambda k: k >= 2, "is below 2")
-        self.ds = read("d", lambda v: [int(x) for x in v], lambda d: 1 <= d <= 3, "is not in 1..3")
+        def coords(src, keys=("checks", "k", "d", "base_seed")):
+            # the checks, orders, dimensions and seed that src holds under keys
+            checks, ks, ds, seed = keys
+            return (
+                read(checks, list, CHECKS.__contains__, "is an unknown check", src),
+                read(ks, lambda v: list(map(int, v)), lambda k: k >= 2, "is below 2", src),
+                read(ds, lambda v: list(map(int, v)), lambda d: 1 <= d <= 3, "is not in 1..3", src),
+                read(seed, int, lambda s: s >= 0, "is negative", src),
+            )
+
+        read("version", lambda v: v, lambda v: v == 1 and type(v) is int, "is not 1")
+        self.checks, self.ks, self.ds, self.base_seed = coords(merged)
         self.n_cap = read("n", int, lambda n: n >= 1, "is below 1")
         self.w = read("spacing", float, lambda w: 0 < w < math.inf, "is not a positive number")
-        self.base_seed = read("base_seed", int, lambda s: s >= 0, "is negative")
         reps = read("reps", int, lambda r: r >= 0, "is negative")
         overrides = read("reps_overrides", lambda v: {x: int(r) for x, r in v.items()})
-        refuse("reps_overrides", [x for x in overrides if x not in CHECKS], "is an unknown check")
-        refuse("reps_overrides", [r for r in overrides.values() if r < 0], "is negative")
-        self.checks = read("checks", list, CHECKS.__contains__, "is an unknown check")
+        read("reps_overrides", list, CHECKS.__contains__, "is an unknown check")
+        read("reps_overrides", lambda v: list(overrides.values()), lambda r: r >= 0, "is negative")
         # a check's rep count: its override, else ``reps``
         self.reps = {name: overrides.get(name, reps) for name in self.checks}
         self.deltas = read("deltas", lambda v: [float(x) for x in v],
@@ -134,6 +142,8 @@ class _Ctx:
         self.opts = read("ascent", lambda v: AscentOptions(**v))
         self.work_budget = read("work_budget", lambda v: v if v is None else int(v),
                                 lambda b: b is None or b >= 0, "is negative")
+        if replay is not None:
+            self.replay = coords(replay, tuple(replay))
 
     def size(self, k, d, d1_by_k, dn_by_k):
         """Instance extent per axis: d = 1 sizes, shrunk for d >= 2 so the
@@ -408,16 +418,17 @@ def resolved_config(config=None):
 
 
 def run_check(config, name, k, d, seed):
-    """Replay a single record from its coordinates, bit-identically.
+    """Replay a single record from its coordinates, bit-identically; a
+    coordinate is read as its configuration key is (``k`` may be ``"2"``).
 
     Returns ``(record, grids)``; ``grids`` holds the instance's input grids
     only when the record failed, and is ``None`` otherwise.
     """
-    if name not in CHECKS:
-        raise ValueError(f"unknown check {name!r}")
+    ctx = _Ctx(config, {"name": [name], "k": [k], "d": [d], "seed": seed})
+    (name,), (k,), (d,), seed = ctx.replay
     if not CHECKS[name][1](k):
         raise ValueError(f"check {name} does not apply at k={k}")
-    return _timed_check(_Ctx(config), name, k, d, seed)
+    return _timed_check(ctx, name, k, d, seed)
 
 
 def _timed_check(ctx, name, k, d, seed):

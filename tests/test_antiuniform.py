@@ -444,8 +444,9 @@ class TestBudgetGuards:
             lambda g: dual_norm_lower(g, 2),
             lambda g: triple_dual_lower(g, 2, 0.5),
             lambda g: decompose(g, 2, 0.5),
+            lambda g: corollary5(g, 2),
         ],
-        ids=["gowers_norm_rec", "dual_norm_lower", "triple_dual_lower", "decompose"],
+        ids=["gowers_norm_rec", "dual_norm_lower", "triple_dual_lower", "decompose", "corollary5"],
     )
     def test_tiny_budget_raises_before_any_pass(self, monkeypatch, fft_calls, entry):
         from ghk import budget

@@ -7,14 +7,17 @@ import numpy as np
 import pytest
 
 from ghk import (
+    continuity_modulus,
     dual_brute,
     dual_rec,
     from_values,
     gowers_norm_brute,
+    gowers_norm_rec,
     inner,
     read_ghk,
     write_ghk,
 )
+from ghk.budget import rec_gowers_work
 from ghk.cli import main
 from ghk.cubes import FunctionTuple
 from ghk.families import random_function
@@ -51,6 +54,7 @@ MALFORMED_CONFIGS = [
     ({"reps": -3}, "'reps'"),
     ({"deltas": [2.0]}, "'deltas'"),
     ({"spacing": 0}, "'spacing'"),
+    ({"version": "banana"}, "'version'"),
 ]
 
 
@@ -89,6 +93,19 @@ class TestNormCmd:
         doc = json.loads(out)
         assert doc["value"] == gowers_norm_brute(grids["_f"], 2)
         assert doc["work_count"] > 0
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_default_rec_matches_api(self, capsys, grids, k):
+        code, out, _ = run_cli(capsys, "norm", "--k", str(k), "--in", grids["f"], "--json")
+        assert code == 0
+        f = grids["_f"]
+        assert json.loads(out) == {
+            "value": gowers_norm_rec(f, k),
+            "k": k,
+            "algo": "rec",
+            "work_count": rec_gowers_work(f.extents, k),
+            "padding": [2 * n for n in f.extents],
+        }
 
     def test_spectral_close_to_brute(self, capsys, grids):
         _, out1, _ = run_cli(
@@ -200,6 +217,27 @@ class TestCheckCmd:
         )
         assert code == 2 and "shift" in json.loads(err)["message"]
 
+    @pytest.mark.parametrize("shift", ["1", "-3", "0"])
+    def test_continuity_matches_api(self, capsys, grids, shift):
+        code, out, _ = run_cli(
+            capsys, "check", "continuity", "--k", "2", "--shift", shift,
+            "--in", grids["f"], "--in", grids["g"], "--in", grids["f"],
+        )
+        fs = FunctionTuple.punctured(2, [grids["_f"], grids["_g"], grids["_f"]])
+        want = continuity_modulus(fs, (int(shift),))
+        doc = json.loads(out)
+        assert code == (0 if want.passed is not False else 1)
+        assert doc.pop("runtime_ms") > 0.0
+        assert doc == json.loads(json.dumps(want.as_dict(include_runtime=False)))
+
+    def test_product_identity_grid_count(self, capsys, grids):
+        code, out, err = run_cli(
+            capsys, "check", "product-identity", "--k", "2",
+            *[a for _ in range(5) for a in ("--in", grids["f"])],
+        )
+        assert (code, out) == (2, "")
+        assert "need 6 grids (two punctured tuples)" in json.loads(err)["message"]
+
     def test_csg(self, capsys, grids):
         code, out, _ = run_cli(
             capsys, "check", "csg", "--k", "2",
@@ -307,6 +345,24 @@ class TestVerifyCmd:
     def test_bad_replay_format(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--replay", "oracle-norm")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "replay, coordinate",
+        [
+            ("oracle-norm:1:1:3", "'k': 1"),
+            ("oracle-norm:2:1:-1", "'seed': -1"),
+            ("oracle-norm:2:4:1", "'d': 4"),
+            ("oracle-norm:2:0:1", "'d': 0"),
+            ("no-such-check:2:1:1", "'name': 'no-such-check'"),
+            ("oracle-norm:two:1:1", "'k'"),
+        ],
+    )
+    def test_bad_replay_coordinate(self, capsys, replay, coordinate):
+        code, out, err = run_cli(capsys, "verify", "--replay", replay)
+        assert (code, out) == (2, "")
+        diag = json.loads(err)
+        assert diag["error"] == "ValueError"
+        assert f"replay coordinate {coordinate}" in diag["message"]
 
     @pytest.mark.parametrize("replay", [(), ("--replay", "oracle-norm:2:1:3")])
     @pytest.mark.parametrize("config, key", MALFORMED_CONFIGS)

@@ -264,6 +264,9 @@ class TestRunSuite:
             ({"deltas": [0.0]}, "'deltas': 0.0"),
             ({"work_budget": -1}, "'work_budget': -1"),
             ({"base_seed": -1}, "'base_seed': -1"),
+            ({"version": "banana"}, "'version': 'banana'"),
+            ({"version": 2}, "'version': 2"),
+            ({"version": 1.0}, "'version': 1.0"),
         ],
     )
     def test_malformed_config_names_its_key(self, config, key):
@@ -297,6 +300,26 @@ class TestReplay:
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown check"):
             run_check(None, "bogus", 2, 1, 0)
+
+    @pytest.mark.parametrize(
+        "coords, message",
+        [
+            (("oracle-norm", 1, 1, 3), "replay coordinate 'k': 1 is below 2"),
+            (("oracle-norm", 2, 1, -1), "replay coordinate 'seed': -1 is negative"),
+            (("oracle-norm", 2, 4, 1), "replay coordinate 'd': 4 is not in 1..3"),
+            (("bogus", 2, 1, 0), "replay coordinate 'name': 'bogus' is an unknown check"),
+            (("oracle-norm", "x", 1, 0), "replay coordinate 'k': invalid literal"),
+            (("oracle-norm", 2, 1, None), "replay coordinate 'seed'"),
+        ],
+    )
+    def test_coordinates_read_as_config_values(self, coords, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_check(None, *coords)
+
+    def test_string_coordinates(self):
+        # the CLI hands NAME:K:D:SEED over as strings
+        (a, _), (b, _) = (run_check(None, "oracle-norm", *c) for c in (("2", "1", "3"), (2, 1, 3)))
+        assert a.as_dict(include_runtime=False) == b.as_dict(include_runtime=False)
 
     def test_inapplicable_k(self):
         with pytest.raises(ValueError, match="does not apply"):
@@ -381,6 +404,10 @@ class TestConfig:
         cfg = resolved_config(None)
         assert cfg["checks"] == list(CHECKS)
         assert cfg["k"] == [2, 3]
+
+    def test_default_config_hash(self):
+        assert config_hash(resolved_config(None)) == "8a37f9af744ed403"
+        assert resolved_config({"version": 1}) == resolved_config(None)
 
     def test_resolved_merge(self):
         cfg = resolved_config({"n": 4})
