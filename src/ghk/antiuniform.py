@@ -2,8 +2,8 @@
 anti-uniform decomposition.
 
 The anti-uniform norm of ``g`` is ``sup { <g, f> : ||f||_U(k) <= 1 }``. The
-supremum over a finite box is approached by monotone backtracking gradient
-ascent on the scale-invariant objective ``R(f) = <g, f> / ||f||_U(k)``; any
+supremum over a finite box is approached by monotone gradient ascent on the
+scale-invariant objective ``R(f) = <g, f> / ||f||_U(k)``; any
 feasible iterate certifies a lower bound, so reported values are certified
 lower bounds with the best witness attached.
 
@@ -41,23 +41,31 @@ Each seed of an ascent costs one engine pass, which returns its U(k) norm
 and its dual field on the frame together. The trials ``f + s d`` along a
 direction are the points of a line in ``norms`` (``_ascent_line``): at
 k >= 3 one engine pass each; at k=2 read off the padded spectra of ``f``
-and ``d``, which are linear in the values: a rejected trial takes no
+and ``d``, which are linear in the values: a trial's norm takes no
 transform, a trial that passes the value test one inverse transform for
-its field, and an accepted step one forward transform for its direction's
+its field, and each new line one forward transform for its direction's
 spectrum. The iterate's spectrum is carried from step to step, so
 ``dual_norm_lower`` scales its witness by one fresh engine pass.
-By homogeneity the ascent direction ``g - C grad(f*)`` is the stationarity
-defect, so the residual is the direction's L^s_k norm, and an accepted step
-carries its direction into the next iteration. The loop works on bare frame
+By homogeneity the direction of steepest ascent ``g - C grad(f*)`` is the
+stationarity defect, so the residual is its L^s_k norm, and an accepted
+step carries it into the next iteration. The loop works on bare frame
 arrays and builds grid functions only for what it returns.
 
-The step rule is where the passes go. The first trial of every iteration
-after the first is the Barzilai-Borwein step ``|df|^2 / |<df, dgrad>|`` of
-the last accepted pair of iterates and directions (Barzilai and Borwein,
-IMA J. Numer. Anal. 8, 1988), which the loop already holds, so it costs no
-pass; a rejected trial halves. Since BB steps gain unevenly, the ascent
-stops only after two consecutive accepted steps each gain at most
-``rel_tol`` of the objective.
+The step rule is where the passes go. On the uniform ball at k=2 the power
+sum along a line is an exact quartic in the step, so each line takes one
+trial, at its exact maximizer (``norms._Order2Line.maximizer``), and the
+directions are Polak-Ribiere+ (Nocedal and Wright, *Numerical
+Optimization*, 2nd ed., sec. 5.2): the steepest direction ``r`` plus
+``beta`` times the last direction, ``beta = max(0, <r, r - r_old> /
+<r_old, r_old>)``. The ascent restarts on ``r`` where that sum does not
+ascend or its line gains nothing, and a steepest line that gains nothing
+ends it as converged. Elsewhere (the blend ball, and every k >= 3) the
+first trial of every iteration after the first is the Barzilai-Borwein
+step ``|df|^2 / |<df, dgrad>|`` of the last accepted pair of iterates and
+directions (Barzilai and Borwein, IMA J. Numer. Anal. 8, 1988), which the
+loop already holds, so it costs no pass; a rejected trial halves. Since
+both rules gain unevenly, the ascent stops only after two consecutive
+accepted steps each gain at most ``rel_tol`` of the objective.
 """
 
 from __future__ import annotations
@@ -91,14 +99,17 @@ PNORM_SLACK = 1e-12
 
 @dataclass(frozen=True)
 class AscentOptions:
-    """Knobs for the backtracking gradient ascent.
+    """Knobs for the gradient ascent.
 
     ``max_iters`` caps the accepted steps. The ascent stops as converged after
     two consecutive accepted steps that each gain at most ``rel_tol`` times
-    the objective, or when a trial step shrinks to ``STEP_MIN``. An accepted
+    the objective; or, with backtracking, when a trial step shrinks to
+    ``STEP_MIN``; or, with the exact line search of the uniform ball at k=2,
+    when the maximizer of a steepest-ascent line gains nothing. An accepted
     step gains more than ``ACCEPT_SLACK`` times the objective, so a
     ``rel_tol`` at or below ``ACCEPT_SLACK`` turns the small-gain stop off:
-    such a run, a long reference run, ends at ``STEP_MIN`` or ``max_iters``.
+    such a run, a long reference run, ends at one of the other stops or at
+    ``max_iters``.
     """
 
     max_iters: int = 500
@@ -243,16 +254,32 @@ def _bb_step(df, dgrad, fallback):
     return step if 0.0 < step < math.inf else fallback
 
 
+def _polak_ribiere(r, r_old, d_old):
+    """``(d, steepest)``: the Polak-Ribiere+ direction ``r + beta d_old``,
+    ``beta = max(0, <r, r - r_old> / <r_old, r_old>)``, or ``r`` itself,
+    flagged steepest, where ``beta`` is 0 or that direction does not ascend
+    (``<d, r> <= 0``)."""
+    norm_old = float(np.vdot(r_old, r_old))
+    beta = float(np.vdot(r, r - r_old)) / norm_old if norm_old > 0.0 else 0.0
+    if beta > 0.0:
+        d = r + beta * d_old
+        if float(np.vdot(d, r)) > 0.0:
+            return d, False
+    return r, True
+
+
 def _ascend(g, k, ball, opts, candidates):
-    """Backtracking ascent of ``<g, f>`` over the ball norm of ``f`` from the
-    best seed.
+    """Ascent of ``<g, f>`` over the ball norm of ``f`` from the best seed.
 
     The objective is strictly monotone over accepted steps; when the ball is
     gated, acceptance additionally requires the stationarity residual not to
-    increase, so the recorded residual trail is non-increasing. Each
-    iteration's first trial step is the Barzilai-Borwein step of the last
-    accepted pair, and the ascent stops after two consecutive accepted steps
-    that each gain at most ``rel_tol * |value|``. Every seed costs one
+    increase, so the recorded residual trail is non-increasing. Where the
+    line has an exact maximizer and the ball is not gated (the uniform ball
+    at k=2), each line's one trial is that maximizer and the directions are
+    Polak-Ribiere+; elsewhere each iteration's first trial step is the
+    Barzilai-Borwein step of the last accepted pair, halved while rejected.
+    The ascent stops after two consecutive accepted steps that each gain at
+    most ``rel_tol * |value|``. Every seed costs one
     engine pass, which gives its U(k) norm and its dual field together; the
     trials along a direction are the points of its line
     (``norms._ascent_line``), which gives a trial's norm first and its
@@ -291,34 +318,60 @@ def _ascend(g, k, ball, opts, candidates):
     history = [(val, resid, u_f)]
     passes = len(stack) - 1
     line = _ascent_line(gv, f, grad, w, ball.k)
+
+    def trial(s):
+        # the point at s, unit in the ball norm, with its value, U(k) norm,
+        # direction and residual, if it gains (and, gated, keeps the residual)
+        nonlocal passes
+        u = line.norm(s)
+        passes += 1
+        nrm = ball.norm_from(line.values, u)
+        if nrm > 0.0:
+            val_try = cell * line.numerator() / nrm
+            if val_try > val * (1.0 + ACCEPT_SLACK):
+                dual_try = line.field() / nrm ** (two_k - 1)
+                f_try = _require_finite(line.values() * (1.0 / nrm))
+                grad_try = _direction(gv, f_try, val_try, dual_try, ball)
+                # the gated residual is the direction's L^s norm
+                resid_try = _lp_norm(grad_try, cell, ball.s) if ball.gated else None
+                if not ball.gated or not resid_try > resid * (1.0 + RESIDUAL_SLACK):
+                    return nrm, f_try, val_try, u / nrm, grad_try, resid_try
+        return None
+
+    # on an ungated ball whose line has an exact maximizer (k=2): one trial
+    # per line, there, along Polak-Ribiere+ directions; elsewhere
+    # Barzilai-Borwein steps, halved while rejected
+    exact = hasattr(line, "maximizer") and not ball.gated
+    d, steepest = grad, True
     step = STEP_INIT
     iterations = 0
     small_gains = 0
     converged = False
-    for _ in range(opts.max_iters):
-        s = step
-        while s > STEP_MIN:
-            u = line.norm(s)
-            passes += 1
-            nrm = ball.norm_from(line.values, u)
-            if nrm > 0.0:
-                val_try = cell * line.numerator() / nrm
-                if val_try > val * (1.0 + ACCEPT_SLACK):
-                    dual_try = line.field() / nrm ** (two_k - 1)
-                    f_try = _require_finite(line.values() * (1.0 / nrm))
-                    grad_try = _direction(gv, f_try, val_try, dual_try, ball)
-                    # the gated residual is the direction's L^s norm
-                    resid_try = _lp_norm(grad_try, cell, ball.s) if ball.gated else None
-                    if not ball.gated or not resid_try > resid * (1.0 + RESIDUAL_SLACK):
-                        step = _bb_step(f_try - f, grad_try - grad, s / BACKTRACK)
-                        line.move(s, nrm, f_try, grad_try)
-                        prev, f, val, u_f = val, f_try, val_try, u / nrm
-                        grad, resid = grad_try, resid_try
-                        break
-            s *= BACKTRACK
+    while iterations < opts.max_iters:
+        point = None
+        if exact:
+            s = line.maximizer()
+            if s is not None:
+                point = trial(s)
+            if point is None and not steepest:
+                d, steepest = grad, True
+                line.turn(d)
+                continue
         else:
+            s = step
+            while s > STEP_MIN and (point := trial(s)) is None:
+                s *= BACKTRACK
+        if point is None:
             converged = True
             break
+        nrm, f_try, val_try, u_try, grad_try, resid_try = point
+        if exact:
+            d, steepest = _polak_ribiere(grad_try, grad, d * (1.0 / nrm))
+        else:
+            d = grad_try
+            step = _bb_step(f_try - f, grad_try - grad, s / BACKTRACK)
+        line.move(s, nrm, f_try, d)
+        prev, f, val, u_f, grad, resid = val, f_try, val_try, u_try, grad_try, resid_try
         iterations += 1
         history.append((val, resid, u_f))
         small_gains = small_gains + 1 if val - prev <= opts.rel_tol * abs(val) else 0

@@ -24,7 +24,11 @@ heads are computed together in numpy, so Python only slices and multiplies.
 
 The windows are the walk's one pruning rule: a head whose window is empty
 yields nothing, and each block keeps only the last-shift values at which
-some term can be nonzero.
+some term can be nonzero. The shift ranges are boxes that hold every term
+that can be nonzero: at k >= 2 a field's shift ``h_i`` parts the reads of
+rows ``2^j`` and ``2^j|2^i``, and the pair kernel's ``u_i`` those of
+``f1_a`` and ``f2_a``, so each coordinate lies in ``(-N, N)``, and an
+output box far past the frame walks no more heads than the frame.
 
 Reduction order is fixed, so results are bit-reproducible run to run: the
 heads in odometer order, and within a head the values of the last shift in
@@ -192,6 +196,17 @@ def gowers_sum(stack, k):
     return acc, accabs
 
 
+def _shift_ranges(out_lo, out_hi, shape, k):
+    # per coordinate of each of the k shifts: the h that take some x of the
+    # output box into the frame; at k >= 2 the rows 2^j and 2^j|2^i are read
+    # h_i apart, so both lie in the frame only if every coordinate of h_i
+    # lies in (-N, N)
+    ranges = [range(1 - h, n - l) for l, h, n in zip(out_lo, out_hi, shape)]
+    if k >= 2:
+        ranges = [range(max(r.start, 1 - n), min(r.stop, n)) for r, n in zip(ranges, shape)]
+    return ranges * k
+
+
 def dual_field_sum(stack, k, out_lo, out_shape):
     """Raw cubic convolution product field for a punctured ``(2^k - 1, *box)`` stack.
 
@@ -201,8 +216,7 @@ def dual_field_sum(stack, k, out_lo, out_shape):
     if stack.shape[0] != (1 << k) - 1:
         raise ValueError(f"stack has {stack.shape[0]} rows, expected {(1 << k) - 1}")
     out_lo, out_hi = _out_box(out_lo, out_shape)
-    shape = stack.shape[1:]
-    ranges = [range(-(h - 1), n - l) for l, h, n in zip(out_lo, out_hi, shape)] * k
+    ranges = _shift_ranges(out_lo, out_hi, stack.shape[1:], k)
     return _field(stack, range(1, 1 << k), ranges, out_lo, out_hi)
 
 
@@ -221,9 +235,7 @@ def dual_pair_field_sum(stack1, stack2, k, out_lo, out_shape):
     shape = stack1.shape[1:]
     # at a = 2^i, f1_a and f2_a are read u_i apart, so both lie in the frame
     # only if every coordinate of u_i lies in (-N, N)
-    ranges = [range(-(h - 1), n - l) for l, h, n in zip(out_lo, out_hi, shape)] * k + [
-        range(1 - n, n) for n in shape
-    ] * k
+    ranges = _shift_ranges(out_lo, out_hi, shape, k) + [range(1 - n, n) for n in shape] * k
     masks = range(1, 1 << k)
     return _field(
         np.concatenate([stack1, stack2]),

@@ -37,7 +37,9 @@ to 2N and returns the norm with the field on the frame, so the ascent in
 come from ``_ascent_line``: a ``_Line`` takes one such pass per trial at
 k >= 3, and at k=2 an ``_Order2Line`` keeps the base spectra of the line's
 point and direction and shares the engine's one-row base arithmetic
-(``_base_power``, ``_base_field``).
+(``_base_power``, ``_base_field``). Its power sum is a quartic in the step,
+so it also gives the step that maximizes the ascent's ratio, from the real
+roots of a cubic in closed form (``_cubic_roots``).
 """
 
 from __future__ import annotations
@@ -406,6 +408,81 @@ def _norm_and_dual(values, spacing, k):
     )
 
 
+def _cubic_roots(c0, c1, c2, c3):
+    """The real roots of ``c0 + c1 t + c2 t^2 + c3 t^3``, in closed form.
+
+    Three real roots come from the trigonometric form, one from Cardano's.
+    A discriminant below ``1e-10`` of its terms is taken as zero, so a double
+    root comes out twice, as ``np.roots`` gives it. A leading coefficient that
+    vanishes, or is below ``2**-300`` of the largest, leaves a quadratic (or
+    linear) equation; all four zero leave none. Each root is polished by
+    Newton steps while they shrink the residual."""
+    big = max(abs(c0), abs(c1), abs(c2), abs(c3))
+    if big == 0.0:
+        return []
+    c0, c1, c2, c3 = c0 / big, c1 / big, c2 / big, c3 / big
+    if abs(c3) < 2.0**-300:
+        if c2 == 0.0:
+            return [-c0 / c1] if c1 != 0.0 else []
+        disc = c1 * c1 - 4.0 * c2 * c0
+        if disc < 0.0:
+            return []
+        half = -0.5 * (c1 + math.copysign(math.sqrt(disc), c1))
+        roots = [half / c2] + ([c0 / half] if half != 0.0 else [])
+    else:
+        b, c, d = c2 / c3, c1 / c3, c0 / c3
+        # t = y - b/3 turns it into y^3 + p y + q
+        p, q = c - b * b / 3.0, b * (2.0 * b * b - 9.0 * c) / 27.0 + d
+        half, third = 0.5 * q, p / 3.0
+        disc = half * half + third * third * third
+        if third < 0.0 and disc <= 1e-10 * half * half:
+            m = math.sqrt(-third)
+            angle = math.acos(max(-1.0, min(1.0, -half / (m * m * m)))) / 3.0
+            ys = [2.0 * m * math.cos(angle - j * 2.0 * math.pi / 3.0) for j in range(3)]
+        else:
+            a = -math.copysign(math.cbrt(abs(half) + math.sqrt(max(disc, 0.0))), half)
+            ys = [a - third / a if a != 0.0 else 0.0]
+        roots = [y - b / 3.0 for y in ys]
+
+    def residual(t):
+        return ((c3 * t + c2) * t + c1) * t + c0
+
+    polished = []
+    for t in roots:
+        r = residual(t)
+        for _ in range(3):
+            slope = (3.0 * c3 * t + 2.0 * c2) * t + c1
+            if r == 0.0 or slope == 0.0:
+                break
+            t_new = t - r / slope
+            r_new = residual(t_new)
+            if not abs(r_new) < abs(r):
+                break
+            t, r = t_new, r_new
+        polished.append(t)
+    return polished
+
+
+def _ratio_argmax(u, v, q):
+    """The ``t`` at which ``(u + t v) / q(t)^(1/4)`` is largest over its
+    stationary points with a positive numerator and power, for the quartic
+    ``q`` with coefficients ``q[i]`` of ``t^i``; ``None`` if there are none.
+    The stationary points are the real roots of the cubic
+    ``4 v q - (u + t v) q'``, whose quartic terms cancel."""
+    q0, q1, q2, q3, q4 = q
+    best = best_t = None
+    for t in _cubic_roots(
+        4.0 * v * q0 - u * q1, 3.0 * v * q1 - 2.0 * u * q2, 2.0 * v * q2 - 3.0 * u * q3,
+        v * q3 - 4.0 * u * q4,
+    ):
+        num, power = u + t * v, (((q4 * t + q3) * t + q2) * t + q1) * t + q0
+        if num > 0.0 and power > 0.0 and math.isfinite(t):
+            ratio = num / power**0.25
+            if best is None or ratio > best:
+                best, best_t = ratio, t
+    return best_t
+
+
 class _Line:
     """The points ``f + s d`` of a line through frame values, as an order-k
     ascent on ``<g, .>`` evaluates them: :meth:`norm` sets the point that
@@ -444,10 +521,11 @@ class _Order2Line(_Line):
     :func:`_norm_and_dual` transforms: padded to 2N per axis, ``F`` of
     ``f * 2**-ef`` and ``D`` of ``d * 2**-ed`` (the :func:`_unit_binade`
     exponents). The spectrum is linear in the values, so a point's norm and
-    numerator take no transform, its values and field (one inverse
-    transform) are built only when asked for, and :meth:`move` takes one
-    forward transform. Norms and fields agree with the engine's to roundoff
-    and raise its ``OverflowError`` where they are not normal float64s."""
+    numerator, and the line's :meth:`maximizer`, take no transform, a
+    point's values and field (one inverse transform) are built only when
+    asked for, and :meth:`move` and :meth:`turn` take one forward transform.
+    Norms and fields agree with the engine's to roundoff and raise its
+    ``OverflowError`` where they are not normal float64s."""
 
     def __init__(self, g, f, d, spacing):
         super().__init__(g, f, d, spacing, 2)
@@ -460,14 +538,17 @@ class _Order2Line(_Line):
         spec = self._spectra(np.stack([uf, ud]))
         self.F, self.D = spec[:1], spec[1:]
         self._at = None
-        self._pair()
+        # rows A = |F|^2, B and C of :meth:`quartic`, and the last axis's bin
+        # weights over the whole spectrum
+        self._abc = np.empty((3,) + self.F.shape[1:])
+        np.multiply(self.F.real, self.F.real, out=self._abc[:1])
+        self._abc[:1] += self.F.imag * self.F.imag
+        self._wgt = np.broadcast_to(self.plan.wgt, self.F.shape).reshape(-1)
+        # <g, f> and <g, d>: a point's numerator is their combination
+        self.gf, self.gd = float((g * f).sum()), float((g * d).sum())
 
     def _spectra(self, rows):
         return np.fft.rfftn(rows, s=self.plan.padded, axes=tuple(range(1, rows.ndim)))
-
-    def _pair(self):
-        # <g, f> and <g, d>: a point's numerator is their combination
-        self.gf, self.gd = float((self.g * self.f).sum()), float((self.g * self.d).sum())
 
     def _point(self, s):
         # (s, T, e, |T|^2, sum |T|^4): T the spectrum of (f + s d) * 2**-e,
@@ -497,17 +578,52 @@ class _Order2Line(_Line):
             self.dual = _field_from(raw * self.w_field, 2, 3 * e)
         return self.dual
 
+    def quartic(self):
+        """``(u, v, q)``: in ``t = s 2**(ed - ef)`` the point's spectrum is
+        ``2**ef (F + t D)``, its numerator ``2**ef (u + t v)`` and its power
+        sum ``2**(4 ef) q(t)``, ``q(t) = sum wgt |F + t D|^4`` the quartic
+        with coefficients ``q[i]`` of ``t^i``: weighted sums of products of
+        ``A = |F|^2``, ``B = Re(F conj D)`` and ``C = |D|^2``, taken in one
+        matrix product. No transform."""
+        abc, F, D = self._abc, self.F, self.D
+        np.multiply(F.real, D.real, out=abc[1:2])
+        abc[1:2] += F.imag * D.imag
+        np.multiply(D.real, D.real, out=abc[2:])
+        abc[2:] += D.imag * D.imag
+        rows = abc.reshape(3, -1)
+        (aa, ab, ac), (_, bb, bc), (_, _, cc) = ((rows * self._wgt) @ rows.T).tolist()
+        q = (aa, 4.0 * ab, 4.0 * bb + 2.0 * ac, 4.0 * bc, cc)
+        return math.ldexp(self.gf, -self.ef), math.ldexp(self.gd, -self.ed), q
+
+    def maximizer(self):
+        """The step ``s`` at which ``<g, f + s d> / ||f + s d||_U(2)`` is
+        largest over the line's stationary points with a positive numerator
+        (:func:`_ratio_argmax` of :meth:`quartic`), or ``None`` where it has
+        none. Where the ratio rises all the way to its limit along ``d``, no
+        step attains its supremum, and the best stationary point may gain
+        nothing over ``f``: the ascent then treats the line as flat."""
+        t = _ratio_argmax(*self.quartic())
+        return None if t is None else math.ldexp(t, self.ef - self.ed)
+
     def move(self, s, nrm, f, d):
-        # F from the point's spectrum (f's values set ef), D from one transform
-        super().move(s, nrm, f, d)
-        _, spec, e, _, _ = self._point(s)
+        # F from the point's spectrum (f's values set ef), with its |F|^2, and
+        # <g, f> from the point's numerator; D from one transform
+        _, spec, e, a, _ = self._point(s)
         m, en = math.frexp(nrm)
         self.ef = math.frexp(float(np.abs(f).max()))[1]
-        self.F = spec * math.ldexp(1.0 / m, e - en - self.ef)
+        scale = math.ldexp(1.0 / m, e - en - self.ef)
+        self.F = spec * scale
+        np.multiply(a, scale * scale, out=self._abc[:1])
+        self.gf = (self.gf + s * self.gd) / nrm
+        self.f = f
+        self.turn(d)
+
+    def turn(self, d):
+        """Point the line along ``d`` from the same ``f``: one transform."""
         ud, self.ed = _unit_binade(d)
-        self.D = self._spectra(ud[None])
+        self.d, self.D = d, self._spectra(ud[None])
+        self.gd = float((self.g * d).sum())
         self._at = None
-        self._pair()
 
 
 def _ascent_line(g, f, d, spacing, k):

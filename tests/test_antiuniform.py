@@ -59,6 +59,36 @@ class TestAscentOptions:
         assert _bb_step(df, 1e-320 * df, 0.25) == 0.25
 
 
+class TestPolakRibiere:
+    """The k=2 uniform-ball ascent's directions: Polak-Ribiere+, restarted on
+    steepest ascent where ``beta`` is 0 or the direction does not ascend."""
+
+    def test_conjugate_direction(self):
+        from ghk.antiuniform import _polak_ribiere
+
+        r, r_old, d_old = np.array([2.0, 1.0]), np.array([1.0, 0.0]), np.array([0.5, 0.5])
+        d, steepest = _polak_ribiere(r, r_old, d_old)
+        # beta = <r, r - r_old> / <r_old, r_old> = 3
+        np.testing.assert_array_equal(d, r + 3.0 * d_old)
+        assert not steepest
+
+    def test_restarts_where_beta_is_not_positive(self):
+        from ghk.antiuniform import _polak_ribiere
+
+        r = np.array([0.5, 0.0])
+        d, steepest = _polak_ribiere(r, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+        assert steepest and d is r
+
+    def test_restarts_where_the_direction_does_not_ascend(self):
+        from ghk.antiuniform import _polak_ribiere
+
+        # beta = 3, and <r + beta d_old, r> = -4
+        r, r_old, d_old = np.array([2.0, 1.0]), np.array([1.0, 0.0]), np.array([-1.5, 0.0])
+        assert float(np.vdot(r + 3.0 * d_old, r)) == -4.0
+        d, steepest = _polak_ribiere(r, r_old, d_old)
+        assert steepest and d is r
+
+
 class TestDualNormLower:
     def test_rejects_zero(self):
         with pytest.raises(ValueError, match="nonzero"):
@@ -285,16 +315,23 @@ class TestEngineCalls:
     """At k >= 3 each seed and each trial step of the ascent costs one engine
     pass. At k=2 only the seeds take engine passes (and ``dual_norm_lower``'s
     witness, and ``decompose``'s ``F``): a trial is read off the iterate's
-    spectrum, so a rejected trial takes no transform, a trial that passes the
-    value test one inverse transform (its field), and an accepted step one
-    forward transform (the new direction's spectrum), besides one forward
-    transform per ascent for the first iterate and direction."""
+    spectrum, besides one forward transform per ascent for the first iterate
+    and direction.
+
+    On the uniform ball at k=2 each line takes one trial, at its exact
+    maximizer, and one forward transform (the direction's spectrum) when an
+    accepted step or a restart makes it; an accepted step takes one inverse
+    transform (its field), and a trial that gains nothing ends the line. On
+    the blend ball a rejected trial takes no transform, a trial that passes
+    the value test one inverse transform, and an accepted step one forward
+    transform."""
 
     @staticmethod
     def count(monkeypatch, fft_calls):
         from ghk import antiuniform, norms
 
-        calls = {key: 0 for key in ("engine", "objective", "seeds", "values", "accepted")}
+        keys = ("engine", "objective", "seeds", "values", "accepted", "lines", "turns", "moves")
+        calls = dict.fromkeys(keys, 0)
         outside = fft_calls.copy()  # transforms outside the engine
 
         def wrap(module, name, key, size=lambda out: 1):
@@ -321,7 +358,15 @@ class TestEngineCalls:
         wrap(antiuniform, "_seeds", "seeds", len)
         # one direction per start and per trial that passes the value test
         wrap(antiuniform, "_direction", "values")
+        # an accepted step takes the next direction from one of these
         wrap(antiuniform, "_bb_step", "accepted")
+        wrap(antiuniform, "_polak_ribiere", "accepted")
+        # an exact line search per line; a restart turns the line, and an
+        # accepted step moves it (and turns it as well)
+        wrap(norms._Order2Line, "maximizer", "lines")
+        wrap(norms._Order2Line, "turn", "turns")
+        wrap(norms._Order2Line, "move", "moves")
+        calls["restarts"] = lambda: calls["turns"] - calls["moves"]
         # the ascent evaluates the ball norm once per seed and once per trial
         for ball in (antiuniform._UniformityBall, antiuniform._BlendBall):
             wrap(ball, "norm_from", "objective")
@@ -332,12 +377,31 @@ class TestEngineCalls:
         calls = self.count(monkeypatch, fft_calls)
         g = random_function(family, 2, 6, 0.125, 3)
         est = dual_norm_lower(g, 2)
-        assert est.iterations == calls["accepted"] > 0
-        assert calls["objective"] - calls["seeds"] > est.iterations  # some trials rejected
+        assert est.iterations == calls["accepted"] == calls["moves"] > 0
+        # one trial per line; every line that gains nothing restarts on
+        # steepest ascent, or ends the ascent
+        assert calls["objective"] - calls["seeds"] == calls["lines"]
+        assert calls["lines"] - est.iterations - calls["restarts"]() in (0, 1)
         # plus one pass for the witness
         assert calls["engine"] == calls["seeds"] + 1
-        # every trial that passes the value test is accepted on this ball
-        assert calls["outside"]() == {"rfftn": 1 + est.iterations, "irfftn": est.iterations}
+        assert calls["outside"]() == {
+            "rfftn": 1 + est.iterations + calls["restarts"](),
+            "irfftn": est.iterations,
+        }
+
+    def test_dual_norm_lower_restart(self, monkeypatch, fft_calls):
+        # on this input the Polak-Ribiere+ line after the first step gains
+        # nothing: the ascent restarts on steepest ascent, with one more
+        # transform, and that line gains nothing either
+        calls = self.count(monkeypatch, fft_calls)
+        est = dual_norm_lower(random_function("indicator-box", 3, 4, 0.125, 1), 2)
+        assert est.converged and est.iterations == calls["accepted"] == 1
+        assert calls["restarts"]() == 1 and calls["lines"] == 3
+        assert calls["objective"] - calls["seeds"] == calls["lines"]
+        assert calls["outside"]() == {
+            "rfftn": 2 + est.iterations,
+            "irfftn": est.iterations,
+        }
 
     @pytest.mark.parametrize("family", ["random-nonneg", "tent", "indicator-box"])
     def test_dual_norm_lower_k3(self, monkeypatch, fft_calls, family):
@@ -359,27 +423,33 @@ class TestEngineCalls:
         calls = self.count(monkeypatch, fft_calls)
         res = decompose(random_function(family, 2, 6, 0.125, 4), 2, 0.25)
         assert res.iterations > 0
-        assert calls["objective"] - calls["seeds"] > calls["accepted"]
+        # the exact line search runs on the first stage only, one trial per
+        # line; the blend ascent backtracks
+        blend_trials = calls["objective"] - calls["seeds"] - calls["lines"]
+        assert blend_trials >= res.iterations and calls["lines"] > 0
         # plus one pass for the first stage's witness and one for F
         assert calls["engine"] == calls["seeds"] + 2
-        # two ascents, each with one start
+        # two ascents, each with one start; a first-stage trial that passes
+        # the value test is accepted
         trials_past_value_test = calls["values"] - 2
         assert trials_past_value_test >= calls["accepted"]
         assert calls["outside"]() == {
-            "rfftn": 2 + calls["accepted"],
+            "rfftn": 2 + calls["accepted"] + calls["restarts"](),
             "irfftn": trials_past_value_test,
         }
 
 
 class TestPasses:
     """``passes`` reports the seeds and the trial evaluations a call took:
-    at k >= 3 its engine passes, at k=2 more than its engine passes."""
+    at k >= 3 its engine passes, at k=2 more than its engine passes. On the
+    uniform ball at k=2 a trial is a line's exact maximizer."""
 
     def test_dual_norm_lower(self, monkeypatch, fft_calls):
         calls = TestEngineCalls.count(monkeypatch, fft_calls)
         est = dual_norm_lower(random_function("tent", 2, 6, 0.125, 3), 2)
-        assert est.passes == calls["objective"] > calls["engine"]
-        assert est.passes > est.iterations
+        assert est.passes == calls["objective"] == calls["seeds"] + calls["lines"]
+        assert est.passes > calls["engine"]
+        assert calls["lines"] >= est.iterations > 0
 
     def test_decompose(self, monkeypatch, fft_calls):
         calls = TestEngineCalls.count(monkeypatch, fft_calls)
@@ -391,13 +461,17 @@ class TestPasses:
         res = decompose(random_function("tent", 2, 6, 0.125, 3), 2, 0.5)
         # plus the pass for F
         assert res.diagnostics["passes"] == calls["objective"] + 1 > calls["engine"]
+        # the first stage's exact lines and the blend ascent's trials
+        assert calls["lines"] > 0 and calls["objective"] - calls["seeds"] > calls["lines"]
 
 
 class TestSpectralTrials:
     """The k=2 ascent's carried spectrum stays on its iterate, and an
-    ``OverflowError`` of its line ends the ascent."""
+    ``OverflowError`` of its line ends the ascent. The exact line search
+    converges in fewer steps than backtracking, so the uniform-ball runs
+    take the inputs on which a long run takes more than 50 steps."""
 
-    @pytest.mark.parametrize("d, n, blend", [(2, 8, False), (3, 4, False), (2, 8, True)])
+    @pytest.mark.parametrize("d, n, blend", [(2, 8, False), (3, 5, False), (2, 8, True)])
     def test_no_drift_over_a_long_run(self, monkeypatch, d, n, blend):
         from ghk import antiuniform, norms
 

@@ -196,14 +196,62 @@ def work_model(kernel, shape, k, box):
     ],
 )
 def test_work_model_covers_the_walk(monkeypatch, kernel, shape, k, box):
-    # the terms the walk builds: per head, last-shift values times window cells
+    # the terms the walk builds: per head, last-shift values times window
+    # cells; the rows are random, so a term is nonzero exactly where every
+    # read lies in the frame, and the clamp of the last shift keeps the first
+    # and the last of its values (in odometer order) live
     built = []
 
     def spy(late, early, win):
-        values = math.prod(n - m + 1 for n, m in zip(late.shape, win))
-        built.append(values * math.prod(win))
+        view = kernels._windows(late, win)
+        assert (view[(0,) * len(win)] * early).any()
+        assert (view[(-1,) * len(win)] * early).any()
+        built.append(math.prod(view.shape[: len(win)]) * math.prod(win))
         yield np.zeros((1,) + win)
 
     monkeypatch.setattr(kernels, "_blocks", spy)
     kernel_call(kernel, k, shape, box)()
     assert built and work_model(kernel, shape, k, box) >= sum(built)
+
+
+#: (k, shape) of the far-box cases: the box [-N, 2N) per axis.
+FAR_CASES = [(2, (4,)), (3, (3,)), (4, (2,)), (2, (2, 3)), (3, (2, 2)), (2, (2, 2, 2))]
+
+
+@pytest.mark.parametrize("kernel", ["dual", "pair"])
+@pytest.mark.parametrize("k, shape", FAR_CASES)
+def test_far_box_walks_the_frame_heads(monkeypatch, kernel, k, shape):
+    # every shift of a head lies in (-N, N) per coordinate, so a box far past
+    # the support enumerates no more heads than the frame does
+    heads = []
+    narrow = kernels._narrow
+
+    def spy(offs, lo, hi, frame):
+        heads.append(len(offs))
+        return narrow(offs, lo, hi, frame)
+
+    monkeypatch.setattr(kernels, "_narrow", spy)
+    shifts = 2 * k if kernel == "pair" else k
+    for box in ("frame", "past"):
+        heads.clear()
+        kernel_call(kernel, k, shape, box)()
+        # each chunk of heads narrows the early rows and the late rows once
+        assert sum(heads) == 2 * math.prod(2 * n - 1 for n in shape) ** (shifts - 1)
+
+
+@pytest.mark.parametrize(
+    "kernel, k, shape",
+    [("dual", k, shape) for k, shape in FAR_CASES if math.prod(shape) ** k <= 4**3]
+    + [("pair", 2, (3,)), ("pair", 3, (2,)), ("pair", 2, (2, 2))],
+)
+def test_far_box_matches_oracle(kernel, k, shape):
+    rows = (1 << k) - 1
+    s1, s2 = rand_stack(14, rows, shape), rand_stack(15, rows, shape)
+    out = out_box(shape, k, "past")
+    if kernel == "dual":
+        got = kernels.dual_field_sum(s1, k, *out)
+        want = dual_field_oracle(list(s1), k, *out)
+    else:
+        got = kernels.dual_pair_field_sum(s1, s2, k, *out)
+        want = dual_pair_oracle(list(s1), list(s2), k, *out)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * max(1, np.abs(want).max()))

@@ -1,4 +1,5 @@
 import importlib
+import math
 import pkgutil
 
 import numpy as np
@@ -328,6 +329,86 @@ class TestOrder2Line:
                     line.field()
                 continue
             np.testing.assert_allclose(line.field(), want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
+class TestLineMaximizer:
+    """The k=2 line's power sum is an exact quartic in the step, and its
+    maximizer beats every step of a dense scan of the ratio."""
+
+    @pytest.mark.parametrize("d, n", [(1, 8), (2, 5), (3, 3)])
+    @pytest.mark.parametrize("j", [0, 300, -300])
+    def test_quartic_matches_the_point(self, d, n, j):
+        line = TestOrder2Line.line(d, n, "random-nonneg", 43, 2.0**j)[3]
+        u, w, q = line.quartic()
+        for s in (-3.0, -0.5, 1e-3, 0.25, 2.0, 40.0):
+            t = math.ldexp(s, line.ed - line.ef)
+            _, _, e, _, total = line._point(s)
+            # both are sum wgt |spectrum|^4 of (f + s d), in the binades 2**e and 2**ef
+            want = math.ldexp(total, 4 * (e - line.ef))
+            assert np.polynomial.polynomial.polyval(t, q) == pytest.approx(want, rel=1e-12)
+            line.norm(s)
+            assert math.ldexp(u + t * w, line.ef) == pytest.approx(line.numerator(), rel=1e-12)
+
+    @pytest.mark.parametrize("d, n", [(1, 8), (2, 5), (3, 3)])
+    @pytest.mark.parametrize("family", ["random-signed", "random-nonneg", "indicator-box"])
+    def test_beats_a_dense_scan(self, d, n, family):
+        line = TestOrder2Line.line(d, n, family, 47)[3]
+        s_best = line.maximizer()
+        assert s_best is not None
+
+        def ratio(s):
+            u = line.norm(s)
+            return line.numerator() / u
+
+        best = ratio(s_best)
+        scan = np.concatenate([-np.logspace(-4, 4, 400), np.logspace(-4, 4, 400)])
+        assert best >= max(ratio(s) for s in scan) * (1 - 1e-12)
+        # and it is stationary: a small step either way does not beat it
+        h = 1e-4 * max(abs(s_best), 1e-3)
+        assert best >= max(ratio(s_best - h), ratio(s_best + h)) * (1 - 1e-14)
+
+
+def real_roots(c):
+    """The real roots of ``sum c[i] t^i`` by ``np.roots``, sorted."""
+    roots = np.roots(c[::-1])
+    return np.sort(roots[np.abs(roots.imag) <= 1e-6 * np.maximum(1.0, np.abs(roots))].real)
+
+
+class TestCubicRoots:
+    """The closed-form cubic of the line search agrees with ``np.roots``."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_cubics(self, seed):
+        rng = np.random.default_rng(seed)
+        c = rng.normal(size=4) * 10.0 ** rng.integers(-3, 4)
+        got = np.sort(norms._cubic_roots(*c))
+        want = real_roots(c)
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize(
+        "c",
+        [
+            (2.0, -3.0, 1.0, 0.0),  # leading coefficient zero: (t - 1)(t - 2)
+            (1.0, 0.0, 1.0, 0.0),  # leading coefficient zero, no real root
+            (3.0, -1.5, 0.0, 0.0),  # linear
+            (-6.0, 11.0, -6.0, 1.0),  # three simple roots 1, 2, 3
+            (2.0, -5.0, 4.0, -1.0),  # a double root: -(t - 1)^2 (t - 2)
+            (-1.0, 3.0, -3.0, 1.0),  # a triple root: (t - 1)^3
+            (1.0, 1.0, 1.0, 1.0),  # one real root, -1
+            (0.0, 0.0, 0.0, 2.0),  # t^3
+        ],
+    )
+    def test_special_cubics(self, c):
+        got = np.sort(norms._cubic_roots(*c))
+        want = real_roots(np.array(c))
+        # a root of multiplicity m is determined only to about eps^(1/m)
+        np.testing.assert_allclose(np.unique(got.round(4)), np.unique(want.round(4)))
+        for t in got:
+            assert abs(np.polynomial.polynomial.polyval(t, c)) <= 1e-12 * max(1.0, abs(t)) ** 3
+
+    def test_all_zero_and_constant(self):
+        assert norms._cubic_roots(0.0, 0.0, 0.0, 0.0) == []
+        assert norms._cubic_roots(1.0, 0.0, 0.0, 0.0) == []
 
 
 class TestEnginePlan:
